@@ -103,7 +103,6 @@ struct ConfigResult {
 ConfigResult RunConfig(BenchDataset& ds, const std::string& name,
                        bool reoptimize) {
   core::UnifyOptions opts;
-  opts.exec.threads = 4;
   opts.card_est_scale = kCardEstScale;
   // Plan choice must not depend on earlier queries' measured costs, or
   // the second configuration would inherit calibration the first earned.

@@ -1,13 +1,16 @@
 // Noisy-neighbor scheduling benchmark: one heavy tenant floods the
 // serving queue with a burst, then N light tenants each submit a few
 // queries. A single worker drains the backlog, so dispatch order alone
-// decides how long each tenant's queries sit queued. Two schedulers:
+// decides how long each tenant's queries sit queued. The same arrival
+// stream runs through the service's core::FairScheduler twice:
 //
-//   "fifo" — the default hand-off: light queries wait behind the entire
-//            heavy burst;
-//   "fair" — core::FairScheduler with equal weights: deficit round-robin
-//            interleaves tenants, so light queries ride out in the next
-//            few rounds no matter how deep the heavy backlog is.
+//   "fifo" — every request under one client_tag: the one-tenant,
+//            equal-weight case is plain FIFO, so light queries wait
+//            behind the entire heavy burst;
+//   "fair" — each request under its own tenant's tag, equal weights:
+//            deficit round-robin interleaves tenants, so light queries
+//            ride out in the next few rounds no matter how deep the heavy
+//            backlog is.
 //
 // Reports per-tenant p50/p99 WALL queue time (QueryResult::
 // queue_wall_seconds) per mode and the light-tenant p99 improvement.
@@ -72,12 +75,9 @@ ModeResult RunMode(const core::UnifySystem& system,
   core::UnifyService::Options sopts;
   sopts.num_workers = 1;  // dispatch order alone decides queue time
   sopts.max_queue_depth = static_cast<int>(slots.size()) + 8;
-  if (fair) {
-    sopts.scheduler = core::UnifyService::Scheduler::kFair;
-    // Equal weights: the isolation comes purely from round-robining
-    // tenants, not from deprioritizing the heavy one.
-    sopts.default_tenant_weight = 1.0;
-  }
+  // Equal weights: the isolation comes purely from round-robining
+  // tenants, not from deprioritizing the heavy one.
+  sopts.default_tenant_weight = 1.0;
   core::UnifyService service(&system, sopts);
 
   // One submitter thread, heavy burst first: everything lands in the
@@ -87,7 +87,7 @@ ModeResult RunMode(const core::UnifySystem& system,
   for (const auto& slot : slots) {
     core::QueryRequest request;
     request.text = slot.text;
-    request.client_tag = slot.tenant;
+    request.client_tag = fair ? slot.tenant : "all";
     futures.push_back(service.Submit(std::move(request)));
   }
 

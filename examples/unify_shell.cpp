@@ -92,11 +92,10 @@ int main(int argc, char** argv) {
   // ";;" share one virtual LLM server pool (their exec times include
   // cross-query queueing, like a real multi-client deployment).
   core::UnifyService::Options sopts;
+  // The service's fair scheduler shares the workers fairly between ";;"
+  // batches tagged with different client tags (\sched reports the queue
+  // state; docs/api.md, "Scheduling & tenant isolation").
   sopts.num_workers = 4;
-  // The shell serves with fair scheduling on, so ";;" batches tagged with
-  // different client tags share the workers fairly (\sched reports the
-  // queue state; docs/api.md, "Scheduling & tenant isolation").
-  sopts.scheduler = core::UnifyService::Scheduler::kFair;
   auto service = std::make_unique<core::UnifyService>(&system, sopts);
 
   bool show_plan = false;
@@ -229,10 +228,6 @@ int main(int argc, char** argv) {
     }
     if (input == "\\sched") {
       const core::UnifyService::Stats s = service->stats();
-      if (!s.fair_scheduler) {
-        std::printf("  FIFO scheduler (fair scheduling is off)\n");
-        continue;
-      }
       std::printf("  fair scheduler: %lld enqueued, %lld dispatched, "
                   "%lld shed, %lld tenant-rejected, %lld wheel rotations\n",
                   static_cast<long long>(s.sched.enqueued),

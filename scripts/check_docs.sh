@@ -1,27 +1,19 @@
 #!/usr/bin/env bash
 # Documentation lint, wired into ctest as `check_docs`:
-#   1. every span/metric/accuracy/serve-event name in
-#      src/common/telemetry_names.h is documented in
-#      docs/observability.md;
+#   1. every telemetry name in src/common/telemetry_names.h (span, metric,
+#      accuracy-ledger and serve-event names) is documented in the guide
+#      that owns its family, per the TELEMETRY_GUIDES table below;
 #   2. relative Markdown links in README.md and docs/*.md resolve;
 #   3. every `src/...` path mentioned in the docs exists (supports
 #      {h,cc}-style brace lists);
 #   4. docs/benchmarks.md covers every bench/bench_*.cc binary;
-#   5. docs/resilience.md's telemetry table covers every llm.fault.* /
-#      llm.retry.* / llm.hedge.* / breaker.* name;
-#   6. the seven guides (api, architecture, observability, benchmarks,
+#   5. the seven guides (api, architecture, observability, benchmarks,
 #      resilience, caching, replanning) and README.md cross-link each
 #      other;
-#   7. docs/caching.md's telemetry table covers every llm.cache.* name;
-#   8. docs/replanning.md's telemetry table covers every
-#      plan.reoptimize.* name plus the exec.replan span;
-#   9. docs/observability.md's "HTTP endpoint" route table covers every
-#      route defined in src/serving/http_endpoint.cc, and the serve.slo.*
-#      / tenant.* serving telemetry is documented there;
-#  10. the fair scheduler's serve.sched.* telemetry is documented in
-#      docs/observability.md and docs/api.md covers the scheduler
-#      (src/core/runtime/fair_scheduler and its shed / tenant_reject
-#      event kinds).
+#   6. docs/observability.md's "HTTP endpoint" route table covers every
+#      route defined in src/serving/http_endpoint.cc;
+#   7. docs/api.md covers the scheduler (src/core/runtime/fair_scheduler
+#      and its shed / tenant_reject event kinds).
 #
 # Usage: scripts/check_docs.sh [repo_root]
 set -u
@@ -37,27 +29,44 @@ fail() {
 
 DOC_FILES=(README.md docs/*.md)
 
-# --- 1. telemetry names are documented -------------------------------------
-OBS=docs/observability.md
-if [[ ! -f "$OBS" ]]; then
-  fail "$OBS is missing"
-else
-  # Every quoted string literal in the catalog header is a span, metric,
-  # accuracy-ledger, or flight-recorder event name. Joining lines first
-  # keeps declarations that wrap onto a continuation line in scope.
-  names=$(tr '\n' ' ' < src/common/telemetry_names.h |
-      grep -o 'inline constexpr char k[A-Za-z0-9]*\[\] *= *"[^"]*"' |
-      sed 's/.*"\([^"]*\)"/\1/')
-  [[ -n "$names" ]] || fail "no names extracted from telemetry_names.h"
+# --- 1. telemetry names are documented in their guides -------------------
+# One row per telemetry family: <name regex> <guide> <match>. Every name
+# the regex selects must appear in the guide in backticks; match `family`
+# also accepts a parameterized form (`llm.calls.<type>` documents the
+# per-PromptType counters `llm.calls.*`), match `exact` does not. A name
+# may belong to several rows, and every row must select at least one name.
+TELEMETRY_GUIDES=(
+  '.                                                docs/observability.md family'
+  '^(llm\.fault\.|llm\.retry\.|llm\.hedge\.|breaker\.) docs/resilience.md    family'
+  '^llm\.cache\.                                     docs/caching.md       exact'
+  '^(plan\.reoptimize\.|exec\.replan$)               docs/replanning.md    exact'
+  '^(serve\.slo\.|serve\.uptime_seconds$|tenant\.)   docs/observability.md exact'
+  '^serve\.sched\.                                    docs/observability.md family'
+)
+# Every quoted string literal in the catalog header is a telemetry name.
+# Joining lines first keeps declarations that wrap onto a continuation
+# line in scope.
+names=$(tr '\n' ' ' < src/common/telemetry_names.h |
+    grep -o 'inline constexpr char k[A-Za-z0-9]*\[\] *= *"[^"]*"' |
+    sed 's/.*"\([^"]*\)"/\1/')
+[[ -n "$names" ]] || fail "no names extracted from telemetry_names.h"
+for row in "${TELEMETRY_GUIDES[@]}"; do
+  read -r regex guide match <<< "$row"
+  if [[ ! -f "$guide" ]]; then
+    fail "$guide is missing"
+    continue
+  fi
+  family=$(grep -E "$regex" <<< "$names")
+  if [[ -z "$family" ]]; then
+    fail "no telemetry names matching '$regex' in telemetry_names.h"
+    continue
+  fi
   while IFS= read -r name; do
-    [[ -n "$name" ]] || continue
-    # Accept either the exact name or a parameterized form like
-    # `llm.calls.<type>` for per-PromptType counter prefixes.
-    if ! grep -qF "\`$name\`" "$OBS" && ! grep -qF "\`$name." "$OBS"; then
-      fail "telemetry name '$name' is not documented in $OBS"
-    fi
-  done <<< "$names"
-fi
+    grep -qF "\`$name\`" "$guide" && continue
+    [[ "$match" == family ]] && grep -qF "\`$name." "$guide" && continue
+    fail "telemetry name '$name' is not documented in $guide"
+  done <<< "$family"
+done
 
 # --- 2. relative markdown links resolve ------------------------------------
 for doc in "${DOC_FILES[@]}"; do
@@ -122,26 +131,7 @@ else
   done
 fi
 
-# --- 5. resilience.md covers the resilience telemetry names ----------------
-RES_DOC=docs/resilience.md
-if [[ ! -f "$RES_DOC" ]]; then
-  fail "$RES_DOC is missing"
-else
-  res_names=$(tr '\n' ' ' < src/common/telemetry_names.h |
-      grep -o 'inline constexpr char k[A-Za-z0-9]*\[\] *= *"[^"]*"' |
-      sed 's/.*"\([^"]*\)"/\1/' |
-      grep -E '^(llm\.fault\.|llm\.retry\.|llm\.hedge\.|breaker\.)')
-  [[ -n "$res_names" ]] || fail "no resilience names in telemetry_names.h"
-  while IFS= read -r name; do
-    [[ -n "$name" ]] || continue
-    if ! grep -qF "\`$name\`" "$RES_DOC" && ! grep -qF "\`$name." "$RES_DOC"
-    then
-      fail "resilience telemetry name '$name' is not in $RES_DOC"
-    fi
-  done <<< "$res_names"
-fi
-
-# --- 6. the guides cross-link each other -----------------------------------
+# --- 5. the guides cross-link each other -----------------------------------
 GUIDES=(docs/api.md docs/architecture.md docs/observability.md
         docs/benchmarks.md docs/resilience.md docs/caching.md
         docs/replanning.md README.md)
@@ -156,44 +146,8 @@ for doc in "${GUIDES[@]}"; do
   done
 done
 
-# --- 7. caching.md covers the cache telemetry names ------------------------
-CACHE_DOC=docs/caching.md
-if [[ ! -f "$CACHE_DOC" ]]; then
-  fail "$CACHE_DOC is missing"
-else
-  cache_names=$(tr '\n' ' ' < src/common/telemetry_names.h |
-      grep -o 'inline constexpr char k[A-Za-z0-9]*\[\] *= *"[^"]*"' |
-      sed 's/.*"\([^"]*\)"/\1/' |
-      grep -E '^llm\.cache\.')
-  [[ -n "$cache_names" ]] || fail "no llm.cache.* names in telemetry_names.h"
-  while IFS= read -r name; do
-    [[ -n "$name" ]] || continue
-    if ! grep -qF "\`$name\`" "$CACHE_DOC"; then
-      fail "cache telemetry name '$name' is not in $CACHE_DOC"
-    fi
-  done <<< "$cache_names"
-fi
-
-# --- 8. replanning.md covers the re-optimization telemetry names -----------
-REPLAN_DOC=docs/replanning.md
-if [[ ! -f "$REPLAN_DOC" ]]; then
-  fail "$REPLAN_DOC is missing"
-else
-  replan_names=$(tr '\n' ' ' < src/common/telemetry_names.h |
-      grep -o 'inline constexpr char k[A-Za-z0-9]*\[\] *= *"[^"]*"' |
-      sed 's/.*"\([^"]*\)"/\1/' |
-      grep -E '^(plan\.reoptimize\.|exec\.replan$)')
-  [[ -n "$replan_names" ]] ||
-      fail "no plan.reoptimize.* names in telemetry_names.h"
-  while IFS= read -r name; do
-    [[ -n "$name" ]] || continue
-    if ! grep -qF "\`$name\`" "$REPLAN_DOC"; then
-      fail "re-optimization telemetry name '$name' is not in $REPLAN_DOC"
-    fi
-  done <<< "$replan_names"
-fi
-
-# --- 9. observability.md covers the HTTP routes + serving SLO telemetry ----
+# --- 6. observability.md covers the HTTP routes ---------------------------
+OBS=docs/observability.md
 ENDPOINT_SRC=src/serving/http_endpoint.cc
 if [[ ! -f "$ENDPOINT_SRC" ]]; then
   fail "$ENDPOINT_SRC is missing"
@@ -207,36 +161,9 @@ else
       fail "HTTP route '$route' is not in $OBS's route table"
     fi
   done <<< "$routes"
-
-  slo_names=$(tr '\n' ' ' < src/common/telemetry_names.h |
-      grep -o 'inline constexpr char k[A-Za-z0-9]*\[\] *= *"[^"]*"' |
-      sed 's/.*"\([^"]*\)"/\1/' |
-      grep -E '^(serve\.slo\.|serve\.uptime_seconds$|tenant\.)')
-  [[ -n "$slo_names" ]] ||
-      fail "no serve.slo.*/tenant.* names in telemetry_names.h"
-  while IFS= read -r name; do
-    [[ -n "$name" ]] || continue
-    if ! grep -qF "\`$name\`" "$OBS"; then
-      fail "serving telemetry name '$name' is not in $OBS"
-    fi
-  done <<< "$slo_names"
 fi
 
-# --- 10. scheduler telemetry + guide coverage ------------------------------
-sched_names=$(tr '\n' ' ' < src/common/telemetry_names.h |
-    grep -o 'inline constexpr char k[A-Za-z0-9]*\[\] *= *"[^"]*"' |
-    sed 's/.*"\([^"]*\)"/\1/' |
-    grep -E '^serve\.sched\.')
-[[ -n "$sched_names" ]] ||
-    fail "no serve.sched.* names in telemetry_names.h"
-while IFS= read -r name; do
-  [[ -n "$name" ]] || continue
-  # `serve.sched.queue_seconds` is documented as the parameterized
-  # per-class family `serve.sched.queue_seconds.<class>`.
-  if ! grep -qF "\`$name\`" "$OBS" && ! grep -qF "\`$name." "$OBS"; then
-    fail "scheduler telemetry name '$name' is not in $OBS"
-  fi
-done <<< "$sched_names"
+# --- 7. api.md covers the scheduler ----------------------------------------
 API_DOC=docs/api.md
 if [[ ! -f "$API_DOC" ]]; then
   fail "$API_DOC is missing"

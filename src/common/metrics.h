@@ -94,7 +94,7 @@ class MetricsRegistry {
   /// Instrumented sites that use the Metric* free functions below write
   /// to Global() AND to this sink, which is how `QueryResult::metrics`
   /// stays exact under concurrent serving: each query installs its own
-  /// local registry on every thread that works on it.
+  /// local registry on the thread that works on it.
   static MetricsRegistry* ThreadSink();
 
   /// RAII installer for ThreadSink(). Restores the previous sink on

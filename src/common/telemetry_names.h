@@ -26,7 +26,7 @@ inline constexpr char kSpanPlanPhysical[] = "plan.physical";
 inline constexpr char kSpanOptimizeCandidate[] = "optimize.candidate";
 /// One semantic/numeric cardinality estimation (EstimateCondition).
 inline constexpr char kSpanSceEstimate[] = "sce.estimate";
-/// Plan execution (PlanExecutor::Execute, Section III-C).
+/// Plan execution (PlanExecutor::Begin..Finish, Section III-C).
 inline constexpr char kSpanExecute[] = "execute";
 /// One DAG node's operator execution (wall interval = real work; virtual
 /// interval = its slot on the simulated schedule).
@@ -80,8 +80,8 @@ inline constexpr char kMetricLlmSeconds[] = "llm.seconds";
 inline constexpr char kMetricLlmDollars[] = "llm.dollars";
 /// Histogram: virtual seconds of individual LLM calls.
 inline constexpr char kMetricLlmCallSeconds[] = "llm.call_seconds";
-// Per-document memoization (SharedLlmCache in llm/shared_cache.h, and the
-// legacy CachingLlmClient decorator; catalog in docs/caching.md).
+// Per-document memoization (SharedLlmCache in llm/shared_cache.h; catalog
+// in docs/caching.md).
 inline constexpr char kMetricLlmCacheHits[] = "llm.cache.item_hits";
 inline constexpr char kMetricLlmCacheMisses[] = "llm.cache.item_misses";
 /// Counter: items that followed a concurrent identical call's leader
@@ -155,9 +155,8 @@ inline constexpr char kMetricServeDegraded[] = "serve.degraded";
 /// (refreshed on every completion, stats() call, and /metrics scrape).
 inline constexpr char kMetricServeUptime[] = "serve.uptime_seconds";
 
-// Fair scheduler (core/runtime/fair_scheduler.h; emitted only when
-// UnifyService runs with Options::scheduler = kFair — the FIFO path stays
-// byte-identical to pre-scheduler builds).
+// Fair scheduler (core/runtime/fair_scheduler.h): UnifyService's one
+// dispatcher between Submit() and its workers.
 /// Counter: tasks handed to a worker by the DRR wheel.
 inline constexpr char kMetricSchedDispatches[] = "serve.sched.dispatches";
 /// Counter: requests rejected by a tenant's queue-depth cap (before the
@@ -279,10 +278,10 @@ inline constexpr char kEventDegraded[] = "degraded";
 /// (edge-triggered: recorded when the breach starts, not per query).
 inline constexpr char kEventSloBreach[] = "slo_breach";
 /// A queued request was shed by the fair scheduler because its deadline
-/// could no longer be met (fair mode only).
+/// could no longer be met.
 inline constexpr char kEventShed[] = "shed";
-/// A request was rejected by its tenant's queue-depth cap (fair mode
-/// only; distinct from the global-queue "reject").
+/// A request was rejected by its tenant's queue-depth cap (distinct from
+/// the global-queue "reject").
 inline constexpr char kEventTenantReject[] = "tenant_reject";
 
 }  // namespace unify::telemetry

@@ -52,7 +52,10 @@ MethodResult ExhaustBaseline::Run(const std::string& query) {
       PlanExecutor::Options eopts;
       eopts.num_servers = options_.num_servers;
       PlanExecutor executor(ctx_, eopts);
-      ExecutionResult exec = executor.Execute(*physical);
+      PlanExecutor::ExecutionState state;
+      executor.Begin(*physical, state);
+      executor.Run(state);
+      ExecutionResult exec = executor.Finish(state);
       result.exec_seconds += exec.virtual_seconds;  // plans run sequentially
       if (exec.status.ok()) answers.push_back(exec.answer);
     }

@@ -12,8 +12,6 @@
 #include "common/telemetry_names.h"
 #include "core/operators/custom_ops.h"
 #include "core/operators/physical_operator.h"
-#include "exec/dag_runner.h"
-#include "exec/schedule.h"
 
 namespace unify::core {
 
@@ -31,13 +29,13 @@ void PlanExecutor::Begin(const PhysicalPlan& plan, ExecutionState& state,
   state.node_partitions.assign(plan.nodes.size(), {});
   state.done.assign(plan.nodes.size(), false);
   state.replan_checked.assign(plan.nodes.size(), false);
-  state.shared = options_.shared_pool != nullptr;
-  state.base = state.shared ? options_.start_seconds : 0.0;
-  if (!state.shared) {
+  const bool shared = options_.shared_pool != nullptr;
+  state.base = shared ? options_.start_seconds : 0.0;
+  if (!shared) {
     state.local_pool = std::make_unique<exec::VirtualLlmPool>(
         std::max(1, options_.num_servers));
   }
-  state.pool = state.shared ? options_.shared_pool : state.local_pool.get();
+  state.pool = shared ? options_.shared_pool : state.local_pool.get();
   state.sched_start.assign(plan.nodes.size(), state.base);
   state.sched_finish.assign(plan.nodes.size(), state.base);
   state.makespan = state.base;
@@ -48,21 +46,6 @@ void PlanExecutor::Begin(const PhysicalPlan& plan, ExecutionState& state,
 Status PlanExecutor::RunNode(ExecutionState& state, int u) {
   const PhysicalNode& node = state.plan.nodes[u];
   Trace* trace = state.trace;
-  // DAG workers don't inherit the query's thread-local metrics sink or
-  // retry budget, so install both for the duration of the node.
-  std::optional<MetricsRegistry::ScopedSink> sink_scope;
-  if (options_.metrics_sink != nullptr) {
-    sink_scope.emplace(options_.metrics_sink);
-  }
-  std::optional<llm::RetryBudget::ScopedUse> budget_scope;
-  if (options_.retry_budget != nullptr) {
-    budget_scope.emplace(options_.retry_budget);
-  }
-  std::optional<llm::SharedCacheLlmClient::ScopedUse> cache_scope;
-  if (options_.use_llm_cache.has_value()) {
-    cache_scope.emplace(*options_.use_llm_cache);
-  }
-  // Slot u is written only by the worker running node u.
   NodeExecution& record = node_executions_[u];
   ScopedSpan node_span(trace, telemetry::kSpanExecNode,
                        state.exec_span->id());
@@ -95,10 +78,11 @@ Status PlanExecutor::RunNode(ExecutionState& state, int u) {
   ExecContext ctx = ctx_;  // per-node copy (cheap; pointers only)
 
   // Runs one partitioned execution: every morsel is an independent LLM
-  // stream (concurrent on the wall-clock pool when threads are
-  // configured), merged order-stably into the node's output. Partitions
-  // are whole LLM batches, so the calls issued — and therefore the
-  // answer and the summed OpStats — are byte-identical to sequential.
+  // stream (its own lanes on the virtual server pool, see ScheduleNode),
+  // run in turn on this thread and merged order-stably into the node's
+  // output. Partitions are whole LLM batches, so the calls issued — and
+  // therefore the answer and the summed OpStats — are byte-identical to
+  // sequential.
   auto run_partitioned =
       [&](const PartitionedExecution& pe) -> StatusOr<OpOutput> {
     const size_t num_parts = pe.partitions.size();
@@ -107,22 +91,7 @@ Status PlanExecutor::RunNode(ExecutionState& state, int u) {
     node_span.AddAttr("partitions", static_cast<int64_t>(num_parts));
     std::vector<StatusOr<OpOutput>> parts(
         num_parts, Status::Internal("partition not run"));
-    auto run_one = [&](size_t i) {
-      // Morsel workers need the query's sink and budget too (fresh pool
-      // threads).
-      std::optional<MetricsRegistry::ScopedSink> part_sink;
-      if (options_.metrics_sink != nullptr) {
-        part_sink.emplace(options_.metrics_sink);
-      }
-      std::optional<llm::RetryBudget::ScopedUse> part_budget;
-      if (options_.retry_budget != nullptr) {
-        part_budget.emplace(options_.retry_budget);
-      }
-      std::optional<llm::SharedCacheLlmClient::ScopedUse> part_cache;
-      if (options_.use_llm_cache.has_value()) {
-        part_cache.emplace(*options_.use_llm_cache);
-      }
-      // Slot i is written only by the worker running morsel i.
+    for (size_t i = 0; i < num_parts; ++i) {
       ScopedSpan part_span(trace, telemetry::kSpanExecPartition,
                            node_span.id());
       if (trace != nullptr) {
@@ -139,16 +108,6 @@ Status PlanExecutor::RunNode(ExecutionState& state, int u) {
           part_span.AddAttr("status", parts[i].status().ToString());
         }
       }
-    };
-    if (options_.threads > 1) {
-      ThreadPool part_pool(std::min(static_cast<size_t>(options_.threads),
-                                    num_parts));
-      for (size_t i = 0; i < num_parts; ++i) {
-        part_pool.Schedule([&run_one, i] { run_one(i); });
-      }
-      part_pool.Wait();
-    } else {
-      for (size_t i = 0; i < num_parts; ++i) run_one(i);
     }
     OpOutput out;
     out.stats = pe.base_stats;
@@ -286,8 +245,6 @@ void PlanExecutor::AdvanceFrontier(ExecutionState& state, int u) {
 
 std::optional<ReplanRequest> PlanExecutor::Run(ExecutionState& state) {
   if (!state.run_status.ok()) return std::nullopt;
-  state.incremental = true;
-  state.sched_ok = true;
   const bool sequential = !options_.parallel;
   const size_t n = state.plan.nodes.size();
   if (!state.engine_started) {
@@ -313,7 +270,7 @@ std::optional<ReplanRequest> PlanExecutor::Run(ExecutionState& state) {
     }
   }
   while (true) {
-    // Pick the next node the batch list scheduler would dispatch:
+    // Pick the next node the list scheduler would dispatch:
     // sequential mode walks the topological order; parallel mode takes
     // the earliest-ready frontier entry (ties to the lower node index).
     int u = -1;
@@ -462,69 +419,66 @@ ExecutionResult PlanExecutor::Finish(ExecutionState& state) {
   result.llm_dollars_total += state.replan_dollars;
   result.llm_calls += state.replan_calls;
 
-  if (state.sched_ok) {
-    // Report times relative to the query's own ready time, so standalone
-    // and served queries read the same way; contention shows up as a
-    // longer makespan and per-node queue waits.
-    result.virtual_seconds = state.makespan - state.base;
-    // Annotate each node span with its virtual interval on the server
-    // pool, plus the time it spent waiting for a free server.
-    for (size_t i = 0; i < state.plan.nodes.size(); ++i) {
-      const double busy =
-          node_stats_[i].cpu_seconds + node_stats_[i].llm_seconds;
-      const double queue_wait = std::max(
-          0.0, state.sched_finish[i] - state.sched_start[i] - busy);
-      MetricObserve(telemetry::kMetricExecQueueWait, queue_wait);
-      node_executions_[i].virt_start = state.sched_start[i] - state.base;
-      node_executions_[i].virt_finish = state.sched_finish[i] - state.base;
-      node_executions_[i].queue_wait_seconds = queue_wait;
-      if (trace != nullptr && state.node_spans[i] != kNoSpan) {
-        trace->SetVirtualInterval(state.node_spans[i],
-                                  state.sched_start[i] - state.base,
-                                  state.sched_finish[i] - state.base);
-        trace->AddAttr(state.node_spans[i], "queue_wait_seconds",
-                       queue_wait);
-      }
+  // Report times relative to the query's own ready time, so standalone
+  // and served queries read the same way; contention shows up as a
+  // longer makespan and per-node queue waits.
+  result.virtual_seconds = state.makespan - state.base;
+  // Annotate each node span with its virtual interval on the server
+  // pool, plus the time it spent waiting for a free server.
+  for (size_t i = 0; i < state.plan.nodes.size(); ++i) {
+    const double busy =
+        node_stats_[i].cpu_seconds + node_stats_[i].llm_seconds;
+    const double queue_wait = std::max(
+        0.0, state.sched_finish[i] - state.sched_start[i] - busy);
+    MetricObserve(telemetry::kMetricExecQueueWait, queue_wait);
+    node_executions_[i].virt_start = state.sched_start[i] - state.base;
+    node_executions_[i].virt_finish = state.sched_finish[i] - state.base;
+    node_executions_[i].queue_wait_seconds = queue_wait;
+    if (trace != nullptr && state.node_spans[i] != kNoSpan) {
+      trace->SetVirtualInterval(state.node_spans[i],
+                                state.sched_start[i] - state.base,
+                                state.sched_finish[i] - state.base);
+      trace->AddAttr(state.node_spans[i], "queue_wait_seconds", queue_wait);
     }
-    // Fraction of the pool's capacity the plan actually kept busy.
-    if (result.virtual_seconds > 0) {
-      const double capacity = static_cast<double>(
-                                  state.pool->num_servers()) *
-                              result.virtual_seconds;
-      const double occupancy = result.llm_seconds_total / capacity;
-      MetricSetGauge(telemetry::kMetricExecPoolOccupancy, occupancy);
-      exec_span.AddAttr("pool_occupancy", occupancy);
-    }
-    exec_span.SetVirtualInterval(0, result.virtual_seconds);
-    // Execution timeline for observability.
-    std::string timeline;
-    char line[256];
-    for (size_t i = 0; i < state.plan.nodes.size(); ++i) {
-      std::snprintf(line, sizeof(line),
-                    "t=%8.2fs..%8.2fs  %-10s <%s> -> %s  (llm %.2fs, %lld "
-                    "calls)\n",
-                    state.sched_start[i] - state.base,
-                    state.sched_finish[i] - state.base,
-                    state.plan.nodes[i].logical.op_name.c_str(),
-                    PhysicalImplName(state.plan.nodes[i].impl),
-                    state.plan.nodes[i].logical.output_var.c_str(),
-                    node_stats_[i].llm_seconds,
-                    static_cast<long long>(node_stats_[i].llm_calls));
-      timeline += line;
-    }
-    for (size_t r = 0; r < state.replans.size(); ++r) {
-      const ReplanRecord& rec = state.replans[r];
-      std::snprintf(line, sizeof(line),
-                    "t=%8.2fs  -- replan #%zu after %s: observed %.0f vs "
-                    "est %.0f (q-err %.1f) -> %s\n",
-                    rec.elapsed_seconds - state.base, r + 1,
-                    rec.trigger_var.c_str(), rec.observed_card,
-                    rec.estimated_card, rec.qerror,
-                    rec.adopted ? "suffix re-lowered" : "kept plan");
-      timeline += line;
-    }
-    result.timeline = std::move(timeline);
   }
+  // Fraction of the pool's capacity the plan actually kept busy.
+  if (result.virtual_seconds > 0) {
+    const double capacity =
+        static_cast<double>(state.pool->num_servers()) *
+        result.virtual_seconds;
+    const double occupancy = result.llm_seconds_total / capacity;
+    MetricSetGauge(telemetry::kMetricExecPoolOccupancy, occupancy);
+    exec_span.AddAttr("pool_occupancy", occupancy);
+  }
+  exec_span.SetVirtualInterval(0, result.virtual_seconds);
+  // Execution timeline for observability.
+  std::string timeline;
+  char line[256];
+  for (size_t i = 0; i < state.plan.nodes.size(); ++i) {
+    std::snprintf(line, sizeof(line),
+                  "t=%8.2fs..%8.2fs  %-10s <%s> -> %s  (llm %.2fs, %lld "
+                  "calls)\n",
+                  state.sched_start[i] - state.base,
+                  state.sched_finish[i] - state.base,
+                  state.plan.nodes[i].logical.op_name.c_str(),
+                  PhysicalImplName(state.plan.nodes[i].impl),
+                  state.plan.nodes[i].logical.output_var.c_str(),
+                  node_stats_[i].llm_seconds,
+                  static_cast<long long>(node_stats_[i].llm_calls));
+    timeline += line;
+  }
+  for (size_t r = 0; r < state.replans.size(); ++r) {
+    const ReplanRecord& rec = state.replans[r];
+    std::snprintf(line, sizeof(line),
+                  "t=%8.2fs  -- replan #%zu after %s: observed %.0f vs "
+                  "est %.0f (q-err %.1f) -> %s\n",
+                  rec.elapsed_seconds - state.base, r + 1,
+                  rec.trigger_var.c_str(), rec.observed_card,
+                  rec.estimated_card, rec.qerror,
+                  rec.adopted ? "suffix re-lowered" : "kept plan");
+    timeline += line;
+  }
+  result.timeline = std::move(timeline);
 
   result.adjusted = state.adjusted;
   auto finalize = [&]() {
@@ -644,52 +598,6 @@ ExecutionResult PlanExecutor::Finish(ExecutionState& state) {
   result.answer = it->second.ToAnswer();
   finalize();
   return result;
-}
-
-ExecutionResult PlanExecutor::Execute(const PhysicalPlan& plan, Trace* trace,
-                                      SpanId parent) {
-  ExecutionState state;
-  Begin(plan, state, trace, parent);
-
-  auto run_node = [&](int u) -> Status { return RunNode(state, u); };
-  if (options_.threads > 0 && options_.parallel) {
-    ThreadPool pool(static_cast<size_t>(options_.threads));
-    state.run_status = exec::RunDag(state.plan.dag, &pool, run_node);
-  } else {
-    state.run_status = exec::RunDag(state.plan.dag, nullptr, run_node);
-  }
-
-  // Virtual-time accounting from the measured per-node streams: one batch
-  // schedule after the whole DAG ran (the historical single-shot model;
-  // the adaptive engine schedules incrementally instead).
-  std::vector<exec::NodeCost> costs;
-  costs.reserve(state.plan.nodes.size());
-  for (size_t i = 0; i < node_stats_.size(); ++i) {
-    const OpStats& stats = node_stats_[i];
-    exec::NodeCost c;
-    c.cpu_seconds = stats.cpu_seconds;
-    c.llm_seconds = stats.llm_seconds;
-    // Nodes that split carry their measured per-morsel streams so the
-    // virtual schedule fans them across servers.
-    if (state.node_partitions[i].size() > 1) {
-      c.llm_partitions = state.node_partitions[i];
-      c.max_parallelism = options_.max_intra_op_parallelism;
-    }
-    costs.push_back(c);
-  }
-  // With a shared pool (serving session) the streams contend with other
-  // in-flight queries and the timeline starts at the query's virtual
-  // ready time; a private pool reproduces the standalone model.
-  auto sched = exec::ScheduleDag(state.plan.dag, costs, state.pool,
-                                 /*sequential=*/!options_.parallel,
-                                 state.base);
-  if (sched.ok()) {
-    state.sched_ok = true;
-    state.sched_start = std::move(sched->start);
-    state.sched_finish = std::move(sched->finish);
-    state.makespan = sched->makespan;
-  }
-  return Finish(state);
 }
 
 }  // namespace unify::core

@@ -8,14 +8,10 @@
 #include <string>
 #include <vector>
 
-#include "common/metrics.h"
-#include "common/thread_pool.h"
 #include "common/trace.h"
 #include "core/physical/physical_plan.h"
 #include "corpus/answer.h"
 #include "exec/virtual_pool.h"
-#include "llm/resilient_client.h"
-#include "llm/shared_cache.h"
 
 namespace unify::core {
 
@@ -135,17 +131,14 @@ struct ReplanRecord {
 /// parallel topological execution, dynamic plan adjustment on operator
 /// failure, and virtual-time accounting on the simulated LLM server pool.
 ///
-/// Two driving modes share the same per-node machinery:
-///  - Execute() runs the whole DAG to completion (wall-clock parallel
-///    workers, one batch virtual-time schedule at the end) — the
-///    historical single-shot path, byte-identical to previous releases.
-///  - Begin()/Run()/ApplyReplan()/Finish() expose the same execution as a
-///    resumable engine that materializes one node at a time in virtual
-///    dispatch order and pauses at materialization points whose observed
-///    cardinality diverges from the optimizer's estimate, so the query
-///    pipeline can re-optimize the un-executed suffix mid-flight
-///    (docs/replanning.md). With no trigger the adaptive engine
-///    reproduces the batch schedule exactly.
+/// Execution is a resumable engine: Begin() sets up the state, Run()
+/// materializes one node at a time in virtual dispatch order on the
+/// calling thread, and Finish() assembles the result. With
+/// Options::reoptimize set, Run() pauses at materialization points whose
+/// observed cardinality diverges from the optimizer's estimate, so the
+/// query pipeline can re-optimize the un-executed suffix mid-flight
+/// (ApplyReplan, docs/replanning.md); otherwise it runs to completion in
+/// one call.
 class PlanExecutor {
  public:
   struct Options {
@@ -153,23 +146,19 @@ class PlanExecutor {
     int num_servers = 4;
     /// Disable DAG parallelism (the Unify–noLO ablation, Section VII-D).
     bool parallel = true;
-    /// Worker threads for real (wall-clock) parallel execution; 0 runs
-    /// in-process sequentially (virtual time is unaffected).
-    int threads = 0;
     /// Retries per failing operator during plan adjustment.
     int max_adjustments = 2;
     /// Morsel-driven intra-operator parallelism: a partitionable
     /// per-document LLM operator splits into up to this many independent
     /// whole-batch partitions that occupy distinct virtual servers
-    /// concurrently (and run on `threads` wall-clock workers when set).
+    /// concurrently.
     /// Answers are byte-identical for every setting; 1 reproduces the
     /// sequential single-stream model exactly.
     int max_intra_op_parallelism = 1;
-    /// Mid-query re-optimization (docs/replanning.md): execute through
-    /// the resumable engine and pause at materialization points whose
-    /// cardinality q-error reaches the threshold, letting the pipeline
-    /// re-lower the un-executed suffix with measured cardinalities. Off
-    /// reproduces the single-shot path byte-identically.
+    /// Mid-query re-optimization (docs/replanning.md): pause Run() at
+    /// materialization points whose cardinality q-error reaches the
+    /// threshold, letting the pipeline re-lower the un-executed suffix
+    /// with measured cardinalities. Off, Run() never pauses.
     bool reoptimize = false;
     /// Observed-vs-estimated cardinality q-error at or above which a
     /// materialization point yields a ReplanRequest.
@@ -187,27 +176,11 @@ class PlanExecutor {
     /// `shared_pool` (the query's arrival + planning time). Ignored for a
     /// private pool, which always starts at 0.
     double start_seconds = 0;
-    /// Per-query metrics sink: installed (MetricsRegistry::ScopedSink) on
-    /// every worker thread that runs a node or a morsel, so this query's
-    /// execution-side metrics land in its own registry even when other
-    /// queries share the process. Null = global registry only.
-    MetricsRegistry* metrics_sink = nullptr;
-    /// The query's shared retry budget, installed
-    /// (llm::RetryBudget::ScopedUse) on every worker thread alongside the
-    /// metrics sink so concurrent nodes/morsels drain one pool of virtual
-    /// retry seconds. Null = unlimited retrying (policy caps still apply).
-    llm::RetryBudget* retry_budget = nullptr;
     /// When the DAG fails with a *transient* LLM failure
     /// (llm::IsTransientLlmFailure) that even the Section V-D fallback
     /// replan could not cure, finish with ExecutionResult::degraded and an
     /// empty answer instead of a failed status (docs/resilience.md).
     bool graceful_degradation = false;
-    /// The query's resolved shared-LLM-cache routing, installed
-    /// (llm::SharedCacheLlmClient::ScopedUse) on every worker thread
-    /// alongside the metrics sink, so coalescing fires across the
-    /// morsels of one operator as well as across queries. Unset = leave
-    /// each worker thread's default (the system-wide cache.enabled).
-    std::optional<bool> use_llm_cache;
   };
 
   /// Everything one plan execution carries across the staged engine's
@@ -226,7 +199,7 @@ class PlanExecutor {
     PhysicalPlan plan;
     Trace* trace = nullptr;
     std::unique_ptr<ScopedSpan> exec_span;
-    /// Guards vars / adjusted across DAG workers.
+    /// Guards vars / adjusted.
     std::mutex mu;
     std::map<std::string, Value> vars;
     bool adjusted = false;
@@ -241,13 +214,9 @@ class PlanExecutor {
     /// Run() never re-fires on the same materialization point).
     std::vector<bool> replan_checked;
 
-    /// Virtual-time accounting. `incremental` = the adaptive engine
-    /// schedules each node's stream the moment it materializes (so
-    /// elapsed time is known at pause points); otherwise Execute() runs
-    /// one batch schedule after the DAG completes.
-    bool incremental = false;
-    bool sched_ok = false;
-    bool shared = false;
+    /// Virtual-time accounting: each node's stream is scheduled the
+    /// moment it materializes, so elapsed time is known at pause points.
+    /// `base` is the query's ready time on the pool.
     double base = 0;
     std::unique_ptr<exec::VirtualLlmPool> local_pool;
     exec::VirtualLlmPool* pool = nullptr;
@@ -261,7 +230,7 @@ class PlanExecutor {
     /// In sequential mode the frontier is the whole topological order and
     /// `frontier_pos` walks it; in parallel mode Run() pops the
     /// earliest-ready entry (ties to the lower node index), mirroring the
-    /// batch list scheduler exactly.
+    /// list scheduler exec::ScheduleDag exactly.
     bool engine_started = false;
     std::vector<std::pair<double, int>> frontier;
     size_t frontier_pos = 0;
@@ -284,25 +253,19 @@ class PlanExecutor {
   PlanExecutor(ExecContext ctx, Options options)
       : ctx_(ctx), options_(options) {}
 
-  /// Executes `plan` and converts the answer variable to an Answer. When
-  /// `trace` is non-null an "execute" span (child of `parent`) is recorded
-  /// with one "exec.node" span per DAG node, annotated post-hoc with the
-  /// node's virtual-time interval on the simulated server pool.
-  ExecutionResult Execute(const PhysicalPlan& plan, Trace* trace = nullptr,
-                          SpanId parent = kNoSpan);
-
-  /// --- The resumable engine (mid-query re-optimization) ---
-
-  /// Initializes `state` for executing `plan` through the adaptive
-  /// engine.
+  /// Initializes `state` for executing `plan`. When `trace` is non-null
+  /// an "execute" span (child of `parent`) is recorded with one
+  /// "exec.node" span per DAG node, annotated by Finish() with the node's
+  /// virtual-time interval on the simulated server pool.
   void Begin(const PhysicalPlan& plan, ExecutionState& state,
              Trace* trace = nullptr, SpanId parent = kNoSpan);
 
   /// Executes nodes one at a time in virtual dispatch order (the order
-  /// the batch list scheduler would dispatch them) until either a
-  /// materialization point trips the replan trigger — returning the
-  /// ReplanRequest to answer with ApplyReplan before calling Run again —
-  /// or the DAG completes or fails (returns nullopt; call Finish).
+  /// the list scheduler exec::ScheduleDag would dispatch them) until
+  /// either a materialization point trips the replan trigger — returning
+  /// the ReplanRequest to answer with ApplyReplan before calling Run
+  /// again — or the DAG completes or fails (returns nullopt; call
+  /// Finish).
   std::optional<ReplanRequest> Run(ExecutionState& state);
 
   /// Records the outcome of one replan consideration. `new_plan` non-null
@@ -314,9 +277,10 @@ class PlanExecutor {
   void ApplyReplan(ExecutionState& state, ReplanRecord record,
                    const PhysicalPlan* new_plan);
 
-  /// Assembles the ExecutionResult: totals (including replan decision
-  /// charges), the timeline with replan markers, the Section V-D fallback
-  /// and graceful degradation, and the answer.
+  /// Assembles the ExecutionResult (converting the answer variable to an
+  /// Answer): totals (including replan decision charges), the timeline
+  /// with replan markers, the Section V-D fallback and graceful
+  /// degradation.
   ExecutionResult Finish(ExecutionState& state);
 
   /// After execution, per-node measured stats (for cost-model feedback).

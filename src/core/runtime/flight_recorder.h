@@ -36,11 +36,10 @@ enum class ServeEventKind {
   /// core/runtime/slo_tracker.h and "SLOs" in docs/observability.md).
   kSloBreach,
   /// A queued request was shed by the fair scheduler: its deadline could
-  /// no longer be met, so it failed without occupying a worker; terminal
-  /// (fair mode only).
+  /// no longer be met, so it failed without occupying a worker; terminal.
   kShed,
   /// Rejected by the tenant's queue-depth cap in the fair scheduler
-  /// (before the global queue filled); terminal (fair mode only).
+  /// (before the global queue filled); terminal.
   kTenantReject,
 };
 

@@ -48,8 +48,7 @@ const char* QueryPhaseName(QueryPhase phase);
 /// tenant isolation"). Under UnifyService's fair scheduler the classes are
 /// strict tiers: a queued interactive request always dispatches before any
 /// normal one, and normal before batch. Within a tier, tenants share the
-/// workers via deficit-weighted round-robin. The FIFO scheduler ignores
-/// the class entirely.
+/// workers via deficit-weighted round-robin.
 enum class QueryPriority {
   kBatch = 0,
   kNormal = 1,
@@ -129,7 +128,7 @@ struct QueryRequest {
     /// Shadow the system-wide mid-query re-optimization knobs
     /// (UnifyOptions::exec.reoptimize / reoptimize_qerror_threshold /
     /// max_reoptimizations; docs/replanning.md). With reoptimize off the
-    /// query reproduces the single-shot execution path byte-identically.
+    /// executor never pauses for a replan.
     std::optional<bool> reoptimize;
     std::optional<double> reoptimize_qerror_threshold;
     std::optional<int> max_reoptimizations;

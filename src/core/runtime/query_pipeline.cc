@@ -66,11 +66,11 @@ bool QueryPipeline::Admit() {
           ? request_.arrival_seconds
           : (shared_pool_ != nullptr ? shared_pool_->Now() : 0.0);
 
-  // Per-query metrics: a local registry installed as this thread's sink
-  // (and, via PlanExecutor::Options::metrics_sink, on every executor
-  // worker that touches this query). Instrumented sites record into the
-  // global registry AND the installed sink, so result.metrics is exact
-  // even when other queries run concurrently in the process.
+  // Per-query metrics: a local registry installed as this thread's sink.
+  // Planning and execution both run on this thread, and instrumented
+  // sites record into the global registry AND the installed sink, so
+  // result.metrics is exact even when other queries run concurrently in
+  // the process.
   metrics_scope_.emplace(&ctx_.query_metrics);
 
   // Retry budget: one shared pool of virtual backoff/retry seconds per
@@ -82,13 +82,9 @@ bool QueryPipeline::Admit() {
     budget_seconds = std::min(budget_seconds, request_.deadline_seconds);
   }
   ctx_.retry_budget.emplace(budget_seconds);
-  // Covers planning + SCE on this thread; PlanExecutor installs the same
-  // budget on its DAG/morsel workers via Options::retry_budget.
   budget_scope_.emplace(&*ctx_.retry_budget);
 
-  // Shared-cache routing for this query's calls on this thread; the
-  // executor re-installs the same choice on its DAG/morsel workers via
-  // Options::use_llm_cache.
+  // Shared-cache routing for this query's calls.
   cache_scope_.emplace(ctx_.resolved.use_llm_cache);
 
   root_ = std::make_unique<ScopedSpan>(ctx_.trace.get(),
@@ -181,36 +177,20 @@ void QueryPipeline::ExecutePlan() {
   // Execution streams become ready once planning finishes on the virtual
   // clock (planning runs on the planner tier, not the worker pool).
   eopts.start_seconds = result.arrival_seconds + result.plan_seconds;
-  eopts.metrics_sink = &ctx_.query_metrics;
-  eopts.retry_budget = &*ctx_.retry_budget;
   eopts.graceful_degradation = ctx_.resolved.graceful_degradation;
-  eopts.use_llm_cache = ctx_.resolved.use_llm_cache;
   PlanExecutor executor(ectx, eopts);
 
-  // The plan that actually ran: the optimizer's choice, or — after an
-  // adopted mid-query replan — the re-lowered plan. Analysis and
-  // cost-model feedback must see this one, while plan_debug /
-  // plan_explain / predicted_* keep reporting the original optimization.
-  PhysicalPlan executed_plan = *ctx_.physical;
-  ExecutionResult exec;
-  if (!ctx_.resolved.reoptimize) {
-    // The historical single-shot path, byte-identical to previous
-    // releases.
-    exec = executor.Execute(*ctx_.physical, ctx_.trace.get(), root_->id());
-  } else {
-    // The resumable engine (docs/replanning.md): execute one node at a
-    // time in virtual dispatch order, pause at materialization points
-    // whose observed cardinality diverges from the estimate, re-optimize
-    // the un-executed suffix there.
-    PlanExecutor::ExecutionState state;
-    executor.Begin(*ctx_.physical, state, ctx_.trace.get(), root_->id());
-    while (auto request = executor.Run(state)) {
-      ConsiderReplan(*request, executor, state);
-    }
-    exec = executor.Finish(state);
-    result.replans = state.replans;
-    executed_plan = state.plan;
+  // The resumable engine (docs/replanning.md): execute one node at a time
+  // in virtual dispatch order; with re-optimization on, pause at
+  // materialization points whose observed cardinality diverges from the
+  // estimate and re-optimize the un-executed suffix there.
+  PlanExecutor::ExecutionState state;
+  executor.Begin(*ctx_.physical, state, ctx_.trace.get(), root_->id());
+  while (auto request = executor.Run(state)) {
+    ConsiderReplan(*request, executor, state);
   }
+  ExecutionResult exec = executor.Finish(state);
+  result.replans = state.replans;
   result.exec_seconds = exec.virtual_seconds;
   result.exec_dollars = exec.llm_dollars_total;
   result.timeline = exec.timeline;
@@ -236,7 +216,11 @@ void QueryPipeline::ExecutePlan() {
     result.degraded = false;
     result.degraded_detail.clear();
   }
-  Analyze(executor, executed_plan);
+  // The plan that actually ran: the optimizer's choice, or — after an
+  // adopted mid-query replan — the re-lowered plan. Analysis and
+  // cost-model feedback must see this one, while plan_debug /
+  // plan_explain / predicted_* keep reporting the original optimization.
+  Analyze(executor, state.plan);
 }
 
 void QueryPipeline::ConsiderReplan(const ReplanRequest& request,

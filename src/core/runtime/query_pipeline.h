@@ -28,11 +28,11 @@ class UnifySystem;
 /// pipeline finalizes the QueryResult exactly once, whatever stage
 /// stopped the query.
 ///
-/// One pipeline serves one query on one thread (execution may still fan
-/// morsels across workers); it installs the query's thread-local scopes —
-/// metrics sink, retry budget, cache routing — for its whole lifetime, so
-/// planning-side LLM calls (including replan decisions) are attributed to
-/// the query like execution-side ones.
+/// One pipeline serves one query on one thread — execution included; it
+/// installs the query's thread-local scopes — metrics sink, retry budget,
+/// cache routing — for its whole lifetime, so every LLM call the query
+/// makes (planning, replan decisions, operators, morsels) is attributed to
+/// it.
 class QueryPipeline {
  public:
   /// `system` must be Setup(); `shared_pool` non-null schedules execution
@@ -74,10 +74,9 @@ class QueryPipeline {
   /// Physical lowering + plan selection (Section VI) and the deadline
   /// pre-check on the predicted makespan.
   bool Optimize();
-  /// Plan execution (Section III-C): the single-shot path when mid-query
-  /// re-optimization is off (byte-identical to previous releases), the
-  /// resumable engine with the replan loop when on. Runs Analyze on the
-  /// executed plan before returning.
+  /// Plan execution (Section III-C) through the resumable engine, with
+  /// the replan loop when mid-query re-optimization is on. Runs Analyze
+  /// on the executed plan before returning.
   void ExecutePlan();
   /// One replan consideration at a materialization point: the
   /// planner-tier decision call, suffix re-lowering under measured

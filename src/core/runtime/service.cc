@@ -27,26 +27,21 @@ UnifyService::UnifyService(const UnifySystem* system, Options options)
         slo.target = options.slo_target;
         return slo;
       }()),
-      epoch_(std::chrono::steady_clock::now()),
-      workers_(static_cast<size_t>(options.scheduler == Scheduler::kFair
-                                       ? 1
-                                       : std::max(1, options.num_workers))) {
-  if (options_.scheduler == Scheduler::kFair) {
-    FairScheduler::Options fopts;
-    fopts.default_weight = options_.default_tenant_weight;
-    fopts.tenant_weights = options_.tenant_weights;
-    fopts.per_tenant_queue_depth = options_.per_tenant_queue_depth;
-    fopts.per_tenant_max_concurrency = options_.per_tenant_max_concurrency;
-    // The serving clock: queue-age shedding compares request deadlines
-    // against the shared pool's virtual time, the same clock execution
-    // charges deadlines against.
-    fopts.now = [this] { return pool_.Now(); };
-    sched_ = std::make_unique<FairScheduler>(std::move(fopts));
-    const int n = std::max(1, options_.num_workers);
-    sched_workers_.reserve(static_cast<size_t>(n));
-    for (int i = 0; i < n; ++i) {
-      sched_workers_.emplace_back([this] { SchedulerWorkerLoop(); });
-    }
+      epoch_(std::chrono::steady_clock::now()) {
+  FairScheduler::Options fopts;
+  fopts.default_weight = options_.default_tenant_weight;
+  fopts.tenant_weights = options_.tenant_weights;
+  fopts.per_tenant_queue_depth = options_.per_tenant_queue_depth;
+  fopts.per_tenant_max_concurrency = options_.per_tenant_max_concurrency;
+  // The serving clock: queue-age shedding compares request deadlines
+  // against the shared pool's virtual time, the same clock execution
+  // charges deadlines against.
+  fopts.now = [this] { return pool_.Now(); };
+  sched_ = std::make_unique<FairScheduler>(std::move(fopts));
+  const int n = std::max(1, options_.num_workers);
+  workers_.reserve(static_cast<size_t>(n));
+  for (int i = 0; i < n; ++i) {
+    workers_.emplace_back([this] { WorkerLoop(); });
   }
   if (options_.http_port != 0) StartHttpEndpoint();
 }
@@ -54,18 +49,16 @@ UnifyService::UnifyService(const UnifySystem* system, Options options)
 UnifyService::~UnifyService() {
   // Stop the endpoint before any member is destroyed: its handlers read
   // the counters, recorder, ledger, and pool. Stop() joins every
-  // in-flight connection. The workers_ destructor then drains queries.
+  // in-flight connection.
   if (http_ != nullptr) http_->Stop();
-  if (sched_ != nullptr) {
-    // Drain, don't drop: Dequeue() keeps handing out (or shedding) queued
-    // tasks after Shutdown() until the queues empty, so every submitted
-    // future resolves before the workers exit.
-    sched_->Shutdown();
-    for (std::thread& t : sched_workers_) t.join();
-  }
+  // Drain, don't drop: Dequeue() keeps handing out (or shedding) queued
+  // tasks after Shutdown() until the queues empty, so every submitted
+  // future resolves before the workers exit.
+  sched_->Shutdown();
+  for (std::thread& t : workers_) t.join();
 }
 
-void UnifyService::SchedulerWorkerLoop() {
+void UnifyService::WorkerLoop() {
   FairScheduler::Task task;
   while (sched_->Dequeue(&task)) {
     task.run();
@@ -90,63 +83,6 @@ std::future<QueryResult> UnifyService::Submit(QueryRequest request) {
                                 ? request.query_id
                                 : StableHash64(request.text);
 
-  if (sched_ != nullptr) {
-    SubmitFair(std::move(promise), std::move(request), query_id);
-    return future;
-  }
-
-  ServeEvent event;
-  event.query_id = query_id;
-  event.client_tag = request.client_tag;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (inflight_ >= options_.max_queue_depth) {
-      rejected_ += 1;
-      MetricAddCounter(telemetry::kMetricServeRejected);
-      // Ledger update under mu_, so stats() (which snapshots counters and
-      // tenants in one mu_ section) never sees the reject counted but the
-      // tenant map not yet updated (lock-order note in service.h).
-      tenant_ledger_.RecordRejection(request.client_tag);
-      QueryResult rejected;
-      rejected.status = Status::ResourceExhausted(
-          "serving queue full (" + std::to_string(inflight_) + " in flight, "
-          "max_queue_depth " + std::to_string(options_.max_queue_depth) +
-          ")");
-      rejected.phase = QueryPhase::kAdmission;
-      rejected.client_tag = request.client_tag;
-      rejected.query_id = query_id;
-      event.kind = ServeEventKind::kReject;
-      event.phase = QueryPhaseName(rejected.phase);
-      event.detail = rejected.status.message();
-      promise->set_value(std::move(rejected));
-    } else {
-      submitted_ += 1;
-      inflight_ += 1;
-      MetricAddCounter(telemetry::kMetricServeSubmitted);
-      MetricSetGauge(telemetry::kMetricServeInflight,
-                     static_cast<double>(inflight_));
-      event.kind = ServeEventKind::kAdmit;
-    }
-  }
-  const bool admitted = event.kind == ServeEventKind::kAdmit;
-  recorder_.Record(std::move(event));
-  if (!admitted) return future;
-
-  const auto enqueued = std::chrono::steady_clock::now();
-  workers_.Schedule([this, promise, request = std::move(request),
-                     enqueued]() mutable {
-    const double queue_wall_seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      enqueued)
-            .count();
-    promise->set_value(Serve(request, queue_wall_seconds));
-  });
-  return future;
-}
-
-void UnifyService::SubmitFair(
-    std::shared_ptr<std::promise<QueryResult>> promise, QueryRequest request,
-    uint64_t query_id) {
   ServeEvent event;
   event.query_id = query_id;
   event.client_tag = request.client_tag;
@@ -154,8 +90,11 @@ void UnifyService::SubmitFair(
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (inflight_ >= options_.max_queue_depth) {
-      // Global admission control is unchanged from FIFO mode: the fair
-      // scheduler refines it with per-tenant caps but never loosens it.
+      // Global admission control: the scheduler refines it with
+      // per-tenant caps but never loosens it. The ledger is updated under
+      // mu_, so stats() (which snapshots counters and tenants in one mu_
+      // section) never sees the reject counted but the tenant map not yet
+      // updated (lock-order note in service.h).
       rejected_ += 1;
       MetricAddCounter(telemetry::kMetricServeRejected);
       tenant_ledger_.RecordRejection(request.client_tag);
@@ -218,6 +157,7 @@ void UnifyService::SubmitFair(
   const bool admitted = event.kind == ServeEventKind::kAdmit;
   recorder_.Record(std::move(event));
   if (!admitted) promise->set_value(std::move(failed));
+  return future;
 }
 
 QueryResult UnifyService::ShedResult(const QueryRequest& request,
@@ -452,10 +392,7 @@ UnifyService::Stats UnifyService::stats() const {
     s.shed = shed_;
     s.inflight = inflight_;
     s.tenants = tenant_ledger_.snapshot();
-    if (sched_ != nullptr) {
-      s.fair_scheduler = true;
-      s.sched = sched_->stats();
-    }
+    s.sched = sched_->stats();
   }
   s.uptime_seconds = UptimeSeconds();
   MetricSetGauge(telemetry::kMetricServeUptime, s.uptime_seconds);
@@ -510,11 +447,7 @@ void UnifyService::StartHttpEndpoint() {
                 [this](const serving::HttpRequest&) {
                   serving::HttpResponse response;
                   response.content_type = "application/json";
-                  if (sched_ == nullptr) {
-                    response.body = tenant_ledger_.ToJson();
-                    return response;
-                  }
-                  // Fair mode wraps the ledger with live queue state:
+                  // The ledger plus live queue state:
                   // {"usage": <ledger>, "sched": {tenant: {...}}}.
                   std::string usage = tenant_ledger_.ToJson();
                   while (!usage.empty() && usage.back() == '\n') {
@@ -621,19 +554,16 @@ serving::HttpResponse UnifyService::HandleStatusz() const {
      << ",\"target\":" << num(slo_.options().target)
      << "},\"tenants\":" << s.tenants.size()
      << ",\"workers\":" << options_.num_workers
-     << ",\"max_queue_depth\":" << options_.max_queue_depth;
-  if (s.fair_scheduler) {
-    os << ",\"sched\":{\"queued\":" << s.sched.queued
-       << ",\"running\":" << s.sched.running
-       << ",\"dispatched\":" << s.sched.dispatched
-       << ",\"shed\":" << s.sched.sheds
-       << ",\"tenant_rejects\":" << s.sched.tenant_rejects
-       << ",\"wheel_rotations\":" << s.sched.wheel_rotations
-       << ",\"queued_by_class\":{\"batch\":" << s.sched.queued_by_class[0]
-       << ",\"normal\":" << s.sched.queued_by_class[1]
-       << ",\"interactive\":" << s.sched.queued_by_class[2] << "}}";
-  }
-  os << "}\n";
+     << ",\"max_queue_depth\":" << options_.max_queue_depth
+     << ",\"sched\":{\"queued\":" << s.sched.queued
+     << ",\"running\":" << s.sched.running
+     << ",\"dispatched\":" << s.sched.dispatched
+     << ",\"shed\":" << s.sched.sheds
+     << ",\"tenant_rejects\":" << s.sched.tenant_rejects
+     << ",\"wheel_rotations\":" << s.sched.wheel_rotations
+     << ",\"queued_by_class\":{\"batch\":" << s.sched.queued_by_class[0]
+     << ",\"normal\":" << s.sched.queued_by_class[1]
+     << ",\"interactive\":" << s.sched.queued_by_class[2] << "}}}\n";
   serving::HttpResponse response;
   response.content_type = "application/json";
   response.body = os.str();

@@ -11,7 +11,6 @@
 #include <thread>
 #include <vector>
 
-#include "common/thread_pool.h"
 #include "core/runtime/fair_scheduler.h"
 #include "core/runtime/flight_recorder.h"
 #include "core/runtime/query.h"
@@ -24,12 +23,13 @@
 namespace unify::core {
 
 /// The concurrent serving layer: a thread-safe facade over a UnifySystem
-/// that accepts Submit() calls from any number of client threads, plans
-/// and executes them on a bounded worker pool, and schedules every
-/// in-flight query's operator streams on ONE shared virtual LLM server
-/// pool — so the virtual times in each QueryResult reflect cross-query
-/// queueing for the paper's 4 simulated servers, not a private pool per
-/// query.
+/// that accepts Submit() calls from any number of client threads, hands
+/// them to Options::num_workers worker threads through a FairScheduler
+/// (per-tenant deficit round-robin; a single tenant at equal weight is
+/// plain FIFO), and schedules every in-flight query's operator streams on
+/// ONE shared virtual LLM server pool — so the virtual times in each
+/// QueryResult reflect cross-query queueing for the paper's 4 simulated
+/// servers, not a private pool per query.
 ///
 /// Admission control keeps the service responsive under overload: when
 /// queued + running requests reach Options::max_queue_depth, Submit()
@@ -46,36 +46,23 @@ namespace unify::core {
 /// monitoring stack.
 class UnifyService {
  public:
-  /// How Submit() hands admitted work to the workers.
-  enum class Scheduler {
-    /// The original single FIFO queue — behavior and telemetry are
-    /// byte-identical to builds that predate the fair scheduler.
-    kFifo,
-    /// core::FairScheduler: per-tenant DRR queues with priority tiers,
-    /// per-tenant caps, and queue-age shedding (docs/api.md,
-    /// "Scheduling & tenant isolation").
-    kFair,
-  };
-
   struct Options {
     /// Worker threads planning/executing queries concurrently.
     int num_workers = 4;
     /// Queued + running requests beyond which Submit() rejects with
     /// kResourceExhausted.
     int max_queue_depth = 64;
-    /// Dispatch policy between Submit() and the workers (default kFifo).
-    Scheduler scheduler = Scheduler::kFifo;
-    /// Fair mode: DRR weight for tenants absent from `tenant_weights`
-    /// (clamped into [FairScheduler::kMinWeight, kMaxWeight]).
+    /// DRR weight for tenants absent from `tenant_weights` (clamped into
+    /// [FairScheduler::kMinWeight, kMaxWeight]).
     double default_tenant_weight = 1.0;
-    /// Fair mode: per-tenant DRR weights keyed by client_tag.
+    /// Per-tenant DRR weights keyed by client_tag.
     std::map<std::string, double> tenant_weights;
-    /// Fair mode: max queued requests per tenant; beyond it Submit()
-    /// rejects the tenant with kResourceExhausted before the global
-    /// max_queue_depth trips for everyone. 0 = unbounded.
+    /// Max queued requests per tenant; beyond it Submit() rejects the
+    /// tenant with kResourceExhausted before the global max_queue_depth
+    /// trips for everyone. 0 = unbounded.
     int per_tenant_queue_depth = 0;
-    /// Fair mode: max concurrently served requests per tenant (excess
-    /// stays queued). 0 = unbounded.
+    /// Max concurrently served requests per tenant (excess stays queued).
+    /// 0 = unbounded.
     int per_tenant_max_concurrency = 0;
     /// Deadline applied to requests that carry none (0 = unlimited).
     double default_deadline_seconds = 0;
@@ -108,9 +95,9 @@ class UnifyService {
     int64_t deadline_exceeded = 0;
     /// Served queries that finished with QueryPhase::kDegraded.
     int64_t degraded = 0;
-    /// Queued requests failed by the fair scheduler because their
-    /// deadline could no longer be met (fair mode only; these count in
-    /// neither `completed` nor `deadline_exceeded`).
+    /// Queued requests failed by the scheduler because their deadline
+    /// could no longer be met (these count in neither `completed` nor
+    /// `deadline_exceeded`).
     int64_t shed = 0;
     /// Requests currently queued or being served.
     int64_t inflight = 0;
@@ -128,10 +115,7 @@ class UnifyService {
     /// Per-tenant usage, keyed by client_tag ("(untagged)" for requests
     /// without one).
     std::map<std::string, TenantUsage> tenants;
-    /// True when Options::scheduler == Scheduler::kFair; `sched` is only
-    /// populated then.
-    bool fair_scheduler = false;
-    /// Fair-scheduler queue state and counters (per-tenant queue depths,
+    /// Scheduler queue state and counters (per-tenant queue depths,
     /// dispatches, sheds, tenant rejects, wheel rotations).
     FairScheduler::Stats sched;
   };
@@ -169,10 +153,6 @@ class UnifyService {
   /// The per-tenant usage ledger (thread-safe to read while serving).
   const TenantLedger& tenant_ledger() const { return tenant_ledger_; }
 
-  /// The fair scheduler; null in kFifo mode. Read its state via
-  /// stats().sched.
-  const FairScheduler* fair_scheduler() const { return sched_.get(); }
-
   /// The SLO burn-rate tracker; read its state via stats().slo.
   const SloTracker& slo_tracker() const { return slo_; }
 
@@ -190,15 +170,11 @@ class UnifyService {
   /// Runs one admitted request on a worker thread.
   QueryResult Serve(const QueryRequest& request, double queue_wall_seconds);
 
-  /// Fair mode's Submit() tail: admission + enqueue into sched_.
-  void SubmitFair(std::shared_ptr<std::promise<QueryResult>> promise,
-                  QueryRequest request, uint64_t query_id);
+  /// One worker's Dequeue/run/OnComplete loop.
+  void WorkerLoop();
 
-  /// Fair mode: one dedicated worker's Dequeue/run/OnComplete loop.
-  void SchedulerWorkerLoop();
-
-  /// Fair mode: resolves a queued request the scheduler shed (deadline
-  /// unmeetable) with kDeadlineExceeded at phase kAdmission.
+  /// Resolves a queued request the scheduler shed (deadline unmeetable)
+  /// with kDeadlineExceeded at phase kAdmission.
   QueryResult ShedResult(const QueryRequest& request, uint64_t query_id,
                          double queue_wall_seconds);
 
@@ -236,23 +212,17 @@ class UnifyService {
   int64_t shed_ = 0;
   int64_t inflight_ = 0;
 
-  /// Destroyed after workers_ (construction order), but explicitly
-  /// stopped FIRST in the destructor: its handlers read the members
-  /// above, so no connection may be in flight once member destruction
-  /// begins.
+  /// Explicitly stopped FIRST in the destructor: its handlers read the
+  /// members above, so no connection may be in flight once member
+  /// destruction begins.
   std::unique_ptr<serving::HttpServer> http_;
 
-  /// Fair mode only (null otherwise). The destructor calls Shutdown()
-  /// and joins sched_workers_ before member destruction begins.
+  /// The destructor calls Shutdown() and joins workers_ before member
+  /// destruction begins.
   std::unique_ptr<FairScheduler> sched_;
-  /// Fair mode's dedicated worker threads (Options::num_workers of them);
-  /// each runs SchedulerWorkerLoop() until the scheduler drains.
-  std::vector<std::thread> sched_workers_;
-
-  /// Last member: destroyed (and drained) first, so worker tasks never
-  /// outlive the state above. Fair mode leaves it one idle thread and
-  /// dispatches through sched_ instead.
-  ThreadPool workers_;
+  /// The worker threads (Options::num_workers of them); each runs
+  /// WorkerLoop() until the scheduler drains.
+  std::vector<std::thread> workers_;
 };
 
 }  // namespace unify::core

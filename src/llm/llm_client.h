@@ -134,8 +134,8 @@ inline bool IsTransientLlmFailure(const Status& s) {
   }
 }
 
-/// Abstract LLM service. Implementations must be thread-safe: the
-/// execution module issues concurrent calls from parallel operators.
+/// Abstract LLM service. Implementations must be thread-safe: concurrently
+/// served queries issue calls through one shared client.
 class LlmClient {
  public:
   virtual ~LlmClient() = default;

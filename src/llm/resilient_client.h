@@ -57,10 +57,10 @@ struct ResilienceOptions {
 
 /// A shared, thread-safe pool of virtual seconds that retries may spend on
 /// backoff. The runtime derives one per query from its deadline and
-/// installs it thread-locally (RetryBudget::ScopedUse) on every executor
-/// worker, mirroring the MetricsRegistry::ScopedSink pattern; the
-/// ResilientLlmClient consults RetryBudget::Current() so concurrent
-/// morsels of one query drain one budget.
+/// installs it thread-locally (RetryBudget::ScopedUse) on the query's
+/// thread, mirroring the MetricsRegistry::ScopedSink pattern; the
+/// ResilientLlmClient consults RetryBudget::Current() so every operator
+/// and morsel of one query drains one budget.
 class RetryBudget {
  public:
   explicit RetryBudget(double seconds) : remaining_(seconds) {}

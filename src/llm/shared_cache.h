@@ -60,11 +60,10 @@ struct CacheStats {
 /// bounded LRU over per-document completions keyed by (prompt type,
 /// prompt fields, item), with singleflight in-flight coalescing.
 ///
-/// Soundness rests on the same invariant as CachingLlmClient: a
-/// per-document completion is a pure function of the (condition,
-/// document) pair at temperature 0, so any two calls that agree on type,
-/// fields and item must agree on the item's completion — batching never
-/// changes it.
+/// Soundness rests on one invariant: a per-document completion is a pure
+/// function of the (condition, document) pair at temperature 0, so any two
+/// calls that agree on type, fields and item must agree on the item's
+/// completion — batching never changes it.
 ///
 /// Admission discipline (fault composition, docs/resilience.md): a value
 /// is admitted ONLY from an OK base result whose item count matches the
@@ -209,8 +208,7 @@ class SharedCacheLlmClient : public LlmClient {
   /// RAII thread-local override of the client's default enablement
   /// (mirrors RetryBudget::ScopedUse / MetricsRegistry::ScopedSink): the
   /// runtime installs the query's resolved `use_llm_cache` on the query
-  /// thread and on every executor node/morsel worker, so one query's
-  /// choice never leaks into another's calls.
+  /// thread, so one query's choice never leaks into another's calls.
   class ScopedUse {
    public:
     explicit ScopedUse(bool enabled);

@@ -12,7 +12,6 @@
 #include "common/stats.h"
 #include "common/status.h"
 #include "common/string_util.h"
-#include "common/thread_pool.h"
 
 namespace unify {
 namespace {
@@ -357,31 +356,6 @@ TEST(HistogramTest, QuantileInterleavedWithAdds) {
   EXPECT_DOUBLE_EQ(h.Max(), 1000.0);
 }
 
-// ---------------------------------------------------------------------------
-// ThreadPool
-// ---------------------------------------------------------------------------
-
-TEST(ThreadPoolTest, RunsAllTasks) {
-  ThreadPool pool(4);
-  std::atomic<int> counter{0};
-  for (int i = 0; i < 100; ++i) {
-    pool.Schedule([&counter] { counter.fetch_add(1); });
-  }
-  pool.Wait();
-  EXPECT_EQ(counter.load(), 100);
-}
-
-TEST(ThreadPoolTest, WaitIsReusable) {
-  ThreadPool pool(2);
-  std::atomic<int> counter{0};
-  pool.Schedule([&counter] { counter.fetch_add(1); });
-  pool.Wait();
-  EXPECT_EQ(counter.load(), 1);
-  pool.Schedule([&counter] { counter.fetch_add(1); });
-  pool.Wait();
-  EXPECT_EQ(counter.load(), 2);
-}
-
 TEST(LoggingTest, SinkCapturesFormattedLinesWithLevelAndThread) {
   std::vector<std::pair<LogLevel, std::string>> captured;
   SetLogSink([&captured](LogLevel level, const std::string& line) {
@@ -421,17 +395,6 @@ TEST(LoggingTest, SinkCapturesFormattedLinesWithLevelAndThread) {
   EXPECT_EQ(captured[2].second.find(t_tag), std::string::npos)
       << captured[2].second;
   EXPECT_GT(LogThreadOrdinal(), 0);
-}
-
-TEST(ThreadPoolTest, DrainsOnDestruction) {
-  std::atomic<int> counter{0};
-  {
-    ThreadPool pool(3);
-    for (int i = 0; i < 50; ++i) {
-      pool.Schedule([&counter] { counter.fetch_add(1); });
-    }
-  }
-  EXPECT_EQ(counter.load(), 50);
 }
 
 }  // namespace

@@ -9,6 +9,15 @@
 namespace unify::core {
 namespace {
 
+/// Drives `executor` through the resumable engine. With reoptimize off
+/// (the default) Run() executes the whole plan without pausing.
+ExecutionResult RunPlan(PlanExecutor& executor, const PhysicalPlan& plan) {
+  PlanExecutor::ExecutionState state;
+  executor.Begin(plan, state);
+  EXPECT_FALSE(executor.Run(state).has_value());
+  return executor.Finish(state);
+}
+
 class ExecutorTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
@@ -72,7 +81,7 @@ llm::SimulatedLlm* ExecutorTest::llm_ = nullptr;
 
 TEST_F(ExecutorTest, ExecutesSimplePlan) {
   PlanExecutor executor(Ctx(), {});
-  auto result = executor.Execute(CountPlan());
+  auto result = RunPlan(executor, CountPlan());
   ASSERT_TRUE(result.status.ok()) << result.status;
   ASSERT_EQ(result.answer.kind, corpus::Answer::Kind::kNumber);
   EXPECT_DOUBLE_EQ(result.answer.number, static_cast<double>(TruthCount()));
@@ -82,14 +91,12 @@ TEST_F(ExecutorTest, ExecutesSimplePlan) {
 }
 
 TEST_F(ExecutorTest, ParallelAndSequentialAgreeOnAnswer) {
-  PlanExecutor::Options parallel;
-  parallel.threads = 3;
   PlanExecutor::Options sequential;
-  sequential.parallel = false;
-  PlanExecutor a(Ctx(), parallel);
+  sequential.parallel = false;  // the Unify-noLO ablation
+  PlanExecutor a(Ctx(), {});
   PlanExecutor b(Ctx(), sequential);
-  auto ra = a.Execute(CountPlan());
-  auto rb = b.Execute(CountPlan());
+  auto ra = RunPlan(a, CountPlan());
+  auto rb = RunPlan(b, CountPlan());
   ASSERT_TRUE(ra.status.ok());
   ASSERT_TRUE(rb.status.ok());
   EXPECT_DOUBLE_EQ(ra.answer.number, rb.answer.number);
@@ -101,7 +108,7 @@ TEST_F(ExecutorTest, MissingAnswerVariableReported) {
   PhysicalPlan plan = CountPlan();
   plan.answer_var = "V99";
   PlanExecutor executor(Ctx(), {});
-  auto result = executor.Execute(plan);
+  auto result = RunPlan(executor, plan);
   EXPECT_FALSE(result.status.ok());
   EXPECT_EQ(result.answer.kind, corpus::Answer::Kind::kNone);
 }
@@ -110,7 +117,7 @@ TEST_F(ExecutorTest, MissingInputVariableFailsCleanly) {
   PhysicalPlan plan = CountPlan();
   plan.nodes[2].logical.input_vars = {"Vmissing"};
   PlanExecutor executor(Ctx(), {});
-  auto result = executor.Execute(plan);
+  auto result = RunPlan(executor, plan);
   EXPECT_FALSE(result.status.ok());
   EXPECT_EQ(result.status.code(), StatusCode::kFailedPrecondition);
 }
@@ -131,7 +138,7 @@ TEST_F(ExecutorTest, PlanAdjustmentRetriesAlternativeImpl) {
   plan.nodes = {compute};
   plan.dag.AddNode();
   PlanExecutor executor(Ctx(), {});
-  auto result = executor.Execute(plan);
+  auto result = RunPlan(executor, plan);
   EXPECT_FALSE(result.status.ok());
   EXPECT_TRUE(result.adjusted);  // it tried to adjust before giving up
 }
@@ -172,8 +179,10 @@ TEST_F(ExecutorTest, VirtualTimeUsesServerPool) {
   one_server.num_servers = 1;
   PlanExecutor::Options four_servers;
   four_servers.num_servers = 4;
-  auto slow = PlanExecutor(Ctx(), one_server).Execute(plan);
-  auto fast = PlanExecutor(Ctx(), four_servers).Execute(plan);
+  PlanExecutor slow_executor(Ctx(), one_server);
+  PlanExecutor fast_executor(Ctx(), four_servers);
+  auto slow = RunPlan(slow_executor, plan);
+  auto fast = RunPlan(fast_executor, plan);
   ASSERT_TRUE(slow.status.ok());
   ASSERT_TRUE(fast.status.ok());
   EXPECT_GT(slow.virtual_seconds, fast.virtual_seconds * 1.5);
@@ -229,7 +238,7 @@ TEST_F(ExecutorTest, TerminalFailureTriggersQueryReplanning) {
   ASSERT_TRUE(plan.dag.AddEdge(3, 4).ok());
 
   PlanExecutor executor(Ctx(), {});
-  auto result = executor.Execute(plan);
+  auto result = RunPlan(executor, plan);
   EXPECT_TRUE(result.status.ok()) << result.status;
   EXPECT_TRUE(result.adjusted);
   // The replanned answer comes from the fallback, not the broken plan.
@@ -249,7 +258,7 @@ TEST_F(ExecutorTest, TerminalFailureTriggersQueryReplanning) {
 
 TEST_F(ExecutorTest, TimelineListsEveryOperator) {
   PlanExecutor executor(Ctx(), {});
-  auto result = executor.Execute(CountPlan());
+  auto result = RunPlan(executor, CountPlan());
   ASSERT_TRUE(result.status.ok());
   EXPECT_NE(result.timeline.find("Scan"), std::string::npos);
   EXPECT_NE(result.timeline.find("Filter"), std::string::npos);
@@ -263,7 +272,7 @@ TEST_F(ExecutorTest, LlmAccountingAggregates) {
   PhysicalPlan plan = CountPlan();
   plan.nodes[1].impl = PhysicalImpl::kLlmFilter;
   PlanExecutor executor(Ctx(), {});
-  auto result = executor.Execute(plan);
+  auto result = RunPlan(executor, plan);
   ASSERT_TRUE(result.status.ok());
   EXPECT_GT(result.llm_calls, 0);
   EXPECT_GT(result.llm_seconds_total, 0);

@@ -24,6 +24,7 @@
 #include "core/runtime/tenant_ledger.h"
 #include "corpus/dataset_profile.h"
 #include "corpus/workload.h"
+#include "json_util.h"
 #include "llm/sim_llm.h"
 
 namespace unify {
@@ -439,6 +440,8 @@ TEST_F(ServiceEndpointTest, AllRoutesRespondWhileServing) {
   EXPECT_NE(reply.body.find("\"uptime_seconds\""), std::string::npos);
   EXPECT_NE(reply.body.find("\"slo\""), std::string::npos);
   EXPECT_NE(reply.body.find("\"tenants\":1"), std::string::npos);
+  EXPECT_NE(reply.body.find("\"sched\":{\"queued\":0"), std::string::npos)
+      << reply.body;
 
   reply = HttpGet(port, serving::kRouteEvents);
   ASSERT_TRUE(reply.ok);
@@ -454,10 +457,19 @@ TEST_F(ServiceEndpointTest, AllRoutesRespondWhileServing) {
   ASSERT_TRUE(reply.ok);
   EXPECT_EQ(reply.status, 200);
 
+  // /tenants: {"usage": <ledger>, "sched": {tenant: queue state}}.
   reply = HttpGet(port, serving::kRouteTenants);
   ASSERT_TRUE(reply.ok);
   EXPECT_EQ(reply.status, 200);
-  EXPECT_NE(reply.body.find("\"probe\""), std::string::npos);
+  unify::testing::JsonValue tenants;
+  ASSERT_TRUE(unify::testing::ParseJson(reply.body, &tenants)) << reply.body;
+  const unify::testing::JsonValue* usage = tenants.Find("usage");
+  const unify::testing::JsonValue* sched = tenants.Find("sched");
+  ASSERT_NE(usage, nullptr) << reply.body;
+  ASSERT_NE(sched, nullptr) << reply.body;
+  EXPECT_NE(usage->Find("probe"), nullptr) << reply.body;
+  ASSERT_NE(sched->Find("probe"), nullptr) << reply.body;
+  EXPECT_EQ(sched->Find("probe")->Find("dispatched")->number, 1);
 
   const auto stats = service.stats();
   EXPECT_GT(stats.uptime_seconds, 0);

@@ -5,10 +5,10 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include <gtest/gtest.h>
 
-#include "common/thread_pool.h"
 
 namespace unify {
 namespace {
@@ -85,18 +85,16 @@ TEST(MetricsTest, ConcurrentUpdates) {
   MetricsRegistry registry;
   constexpr int kTasks = 8;
   constexpr int kUpdates = 1000;
-  {
-    ThreadPool pool(4);
-    for (int t = 0; t < kTasks; ++t) {
-      pool.Schedule([&registry]() {
-        for (int i = 0; i < kUpdates; ++i) {
-          registry.AddCounter("llm.calls");
-          registry.Observe("llm.call_seconds", 1.0);
-        }
-      });
-    }
-    pool.Wait();
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kTasks; ++t) {
+    threads.emplace_back([&registry]() {
+      for (int i = 0; i < kUpdates; ++i) {
+        registry.AddCounter("llm.calls");
+        registry.Observe("llm.call_seconds", 1.0);
+      }
+    });
   }
+  for (std::thread& t : threads) t.join();
   EXPECT_DOUBLE_EQ(registry.counter("llm.calls"), kTasks * kUpdates);
   EXPECT_EQ(registry.Snapshot().histograms.at("llm.call_seconds").count(),
             static_cast<size_t>(kTasks * kUpdates));

@@ -78,7 +78,6 @@ class PartitionSystemTest : public ::testing::Test {
     corpus_ = new corpus::Corpus(corpus::GenerateCorpus(profile, 21));
     llm_ = new llm::SimulatedLlm(corpus_, llm::SimLlmOptions{});
     UnifyOptions options;
-    options.exec.threads = 2;
     // Frozen cost model: plan choice must not depend on which queries ran
     // earlier, so the sweep below compares like with like.
     options.cost_feedback = false;

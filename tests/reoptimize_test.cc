@@ -44,7 +44,6 @@ class ReoptimizeTest : public ::testing::Test {
                                                  bool reoptimize,
                                                  int parallelism = 1) {
     UnifyOptions options;
-    options.exec.threads = 2;
     options.exec.max_intra_op_parallelism = parallelism;
     options.exec.reoptimize = reoptimize;
     options.card_est_scale = card_est_scale;
@@ -90,9 +89,9 @@ TEST_F(ReoptimizeTest, NoTriggerOnFaithfulEstimates) {
   EXPECT_EQ(Counter(result, "llm.calls.replan_decision"), 0);
 }
 
-// With no trigger the resumable engine must reproduce the single-shot
-// path byte-identically — same answer, virtual times, dollars, and
-// timeline — at sequential and morsel-parallel settings alike.
+// With no trigger, re-optimization on must be byte-identical to off —
+// same answer, virtual times, dollars, and timeline — at sequential and
+// morsel-parallel settings alike.
 TEST_F(ReoptimizeTest, AdaptiveEngineIsByteIdenticalWithoutTrigger) {
   for (int parallelism : {1, 4}) {
     SCOPED_TRACE("max_intra_op_parallelism=" + std::to_string(parallelism));

@@ -400,7 +400,6 @@ TEST_F(ServiceTest, FairSchedulerServesIdenticalAnswersToSequential) {
   for (int num_workers : {1, 4}) {
     UnifyService::Options sopts;
     sopts.num_workers = num_workers;
-    sopts.scheduler = UnifyService::Scheduler::kFair;
     sopts.tenant_weights = {{"t0", 0.5}, {"t1", 4.0}};
     UnifyService service(system_, sopts);
 
@@ -427,7 +426,6 @@ TEST_F(ServiceTest, FairSchedulerServesIdenticalAnswersToSequential) {
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
     const auto stats = service.stats();
-    EXPECT_TRUE(stats.fair_scheduler);
     EXPECT_EQ(stats.completed, static_cast<int64_t>(queries.size()));
     EXPECT_EQ(stats.sched.enqueued, static_cast<int64_t>(queries.size()));
     EXPECT_EQ(stats.sched.dispatched, static_cast<int64_t>(queries.size()));
@@ -446,7 +444,6 @@ TEST_F(ServiceTest, FairPerTenantDepthCapRejectsBeforeGlobalCap) {
   UnifyService::Options sopts;
   sopts.num_workers = 1;
   sopts.max_queue_depth = 64;  // global cap stays far away
-  sopts.scheduler = UnifyService::Scheduler::kFair;
   sopts.per_tenant_queue_depth = 2;
   UnifyService service(system_, sopts);
   const std::vector<std::string> queries = Queries();
@@ -507,7 +504,6 @@ TEST_F(ServiceTest, FairSchedulerShedsQueuedWorkWhoseDeadlinePassed) {
 
   UnifyService::Options sopts;
   sopts.num_workers = 1;
-  sopts.scheduler = UnifyService::Scheduler::kFair;
   UnifyService service(&system, sopts);
   const std::vector<std::string> queries = Queries();
 
@@ -560,7 +556,6 @@ TEST_F(ServiceTest, StatsStayConsistentWhileSubmitsHammerTheLedger) {
   UnifyService::Options sopts;
   sopts.num_workers = 4;
   sopts.max_queue_depth = 6;  // small: rejections race completions
-  sopts.scheduler = UnifyService::Scheduler::kFair;
   sopts.per_tenant_queue_depth = 3;
   UnifyService service(system_, sopts);
   const std::vector<std::string> queries = Queries();

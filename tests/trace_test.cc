@@ -2,11 +2,11 @@
 
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "common/thread_pool.h"
 #include "json_util.h"
 
 namespace unify {
@@ -71,20 +71,21 @@ TEST(TraceTest, NullTraceScopedSpanIsNoop) {
   span.SetVirtualInterval(0, 1);
 }
 
-TEST(TraceTest, ConcurrentSpansUnderThreadPool) {
+TEST(TraceTest, ConcurrentSpansFromManyThreads) {
   Trace trace;
   SpanId root = trace.StartSpan("query");
   constexpr int kTasks = 64;
-  {
-    ThreadPool pool(4);
-    for (int i = 0; i < kTasks; ++i) {
-      pool.Schedule([&trace, root, i]() {
+  constexpr int kThreads = 4;
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&trace, root, t]() {
+      for (int i = t; i < kTasks; i += kThreads) {
         ScopedSpan span(&trace, "exec.node", root);
         span.AddAttr("index", i);
-      });
-    }
-    pool.Wait();
+      }
+    });
   }
+  for (std::thread& t : threads) t.join();
   trace.EndSpan(root);
 
   auto spans = trace.spans();

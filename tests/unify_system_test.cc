@@ -25,7 +25,6 @@ class UnifySystemTest : public ::testing::Test {
     corpus_ = new corpus::Corpus(corpus::GenerateCorpus(profile, 21));
     llm_ = new llm::SimulatedLlm(corpus_, llm::SimLlmOptions{});
     UnifyOptions options;
-    options.exec.threads = 2;
     system_ = new UnifySystem(corpus_, llm_, options);
     ASSERT_TRUE(system_->Setup().ok());
   }
