@@ -1,16 +1,17 @@
 #!/usr/bin/env bash
 # Builds the concurrency-sensitive tests (shared virtual pool, serving
-# layer, partitioned executor, fault-injected resilience path) under a
-# sanitizer and runs them. Modes:
+# layer, executor, fault-injected resilience path) under a sanitizer and
+# runs them. Modes:
 #
 #   $ scripts/check.sh [repo-root]          # ThreadSanitizer (data races)
-#   $ scripts/check.sh --asan [repo-root]   # AddressSanitizer (memory)
+#   $ scripts/check.sh --asan [repo-root]   # AddressSanitizer + UBSAN
+#                                           # (memory, undefined behaviour)
 #   $ scripts/check.sh --selftest           # verify failure propagation
 #
-# Wired into ctest as `check_concurrency` (TSAN) and `check_asan` (ASAN),
-# registered in non-sanitized builds only. Skips gracefully (exit 0 with
-# a notice) when the toolchain cannot link sanitizer binaries, so the
-# suite stays green on minimal images.
+# Wired into ctest as `check_concurrency` (TSAN) and `check_asan` (ASAN +
+# UBSAN), registered in non-sanitized builds only. Skips gracefully (exit
+# 0 with a notice) when the toolchain cannot link sanitizer binaries, so
+# the suite stays green on minimal images.
 #
 # Failure propagation: `set -e` alone is not enough — it is suppressed in
 # command substitutions and compound conditions, and a later bash could be
@@ -45,7 +46,7 @@ fi
 ROOT="${1:-$(cd "$(dirname "$0")/.." && pwd)}"
 if [[ "$MODE" == "address" ]]; then
   BUILD="$ROOT/build-asan"
-  FLAG="-fsanitize=address"
+  FLAG="-fsanitize=address,undefined -fno-sanitize-recover=undefined"
 else
   BUILD="$ROOT/build-tsan"
   FLAG="-fsanitize=thread"
@@ -67,7 +68,8 @@ int main() {
   return x - 1;
 }
 EOF
-if ! c++ "$FLAG" -pthread "$probe/probe.cc" -o "$probe/probe" \
+# shellcheck disable=SC2086  # FLAG holds several flags
+if ! c++ $FLAG -pthread "$probe/probe.cc" -o "$probe/probe" \
     2>/dev/null || ! "$probe/probe"; then
   echo "check.sh: toolchain cannot build/run $MODE-sanitized binaries;" \
        "skipping"
@@ -91,8 +93,10 @@ cmake --build "$BUILD" -j "$(nproc)" --target "${TESTS[@]}" >/dev/null \
     || fail "build under $MODE sanitizer"
 
 # halt_on_error: fail loudly on the first finding instead of limping on.
-# Leak checking is disabled under ASAN — LSAN needs ptrace, which minimal
-# CI containers often lack; the tests free what they allocate regardless.
+# UBSAN needs no options: -fno-sanitize-recover=undefined aborts on the
+# first finding. Leak checking is disabled under ASAN — LSAN needs ptrace,
+# which minimal CI containers often lack; the tests free what they
+# allocate regardless.
 export TSAN_OPTIONS="halt_on_error=1 ${TSAN_OPTIONS:-}"
 export ASAN_OPTIONS="halt_on_error=1:detect_leaks=0 ${ASAN_OPTIONS:-}"
 status=0

@@ -31,9 +31,6 @@ inline constexpr char kSpanExecute[] = "execute";
 /// One DAG node's operator execution (wall interval = real work; virtual
 /// interval = its slot on the simulated schedule).
 inline constexpr char kSpanExecNode[] = "exec.node";
-/// One morsel of a partitioned operator (child of its exec.node): an
-/// independent LLM stream over a whole-batch chunk of the node's input.
-inline constexpr char kSpanExecPartition[] = "exec.partition";
 /// Executor-level replanning after a terminal operator failure.
 inline constexpr char kSpanExecFallback[] = "exec.fallback";
 /// One mid-query re-optimization pause (docs/replanning.md).
@@ -63,13 +60,9 @@ inline constexpr char kMetricExecQueueWait[] = "exec.queue_wait_seconds";
 /// Gauge: LLM-server busy fraction of the last executed plan
 /// (llm_seconds_total / (num_servers * makespan)).
 inline constexpr char kMetricExecPoolOccupancy[] = "exec.pool.occupancy";
-/// Counter: morsels executed by partitioned operators (incremented by the
-/// partition count of every node that actually split).
+/// Counter: morsels of partitioned operators (incremented by the morsel
+/// count of every node whose run was laid out as more than one stream).
 inline constexpr char kMetricExecPartitions[] = "exec.partitions";
-/// Histogram: wall-clock seconds spent merging a partitioned node's
-/// partial results into its output value.
-inline constexpr char kMetricExecPartitionMerge[] =
-    "exec.partition.merge_seconds";
 
 // LLM layer. The per-type counters append "." + PromptTypeName(type)
 // (e.g. "llm.seconds.eval_predicate"); TracingLlmClient emits them.

@@ -11,11 +11,6 @@ using internal::kCpuPerDoc;
 using internal::kCpuPerValue;
 using internal::WrongInput;
 
-bool IsNumericAggregate(const std::string& op_name) {
-  return op_name == "Sum" || op_name == "Average" || op_name == "Min" ||
-         op_name == "Max" || op_name == "Median" || op_name == "Percentile";
-}
-
 StatusOr<OpOutput> ExecCount(PhysicalImpl impl, const OpArgs& args,
                              const std::vector<Value>& inputs,
                              ExecContext& ctx) {
@@ -263,46 +258,6 @@ class AggregateOperator : public PhysicalOperator {
   bool SupportsPartitioning(const std::string& op_name,
                             PhysicalImpl impl) const override {
     return op_name == "Extract" && impl == PhysicalImpl::kLlmExtract;
-  }
-
-  StatusOr<std::optional<PartitionedExecution>> Partition(
-      const std::string& op_name, PhysicalImpl impl, const OpArgs& args,
-      const std::vector<Value>& inputs, ExecContext& ctx,
-      int max_partitions) const override {
-    std::optional<PartitionedExecution> none;
-    if (!SupportsPartitioning(op_name, impl)) return none;
-    if (inputs.empty() || !inputs[0].is<DocList>()) return none;
-    std::vector<DocList> chunks = PartitionDocs(
-        inputs[0].get<DocList>(), ctx.llm_batch_size, max_partitions);
-    if (chunks.size() <= 1) return none;
-
-    PartitionedExecution exec;
-    const std::string attr = ArgStr(args, "attribute");
-    for (DocList& chunk : chunks) {
-      OpPartition part;
-      part.num_docs = chunk.size();
-      part.run = [chunk = std::move(chunk), attr, &ctx]()
-          -> StatusOr<OpOutput> {
-        OpOutput out;
-        NumberList values;
-        UNIFY_ASSIGN_OR_RETURN(
-            values.values,
-            internal::LlmExtractValues(chunk, attr, ctx, out.stats));
-        out.value = Value(Value::Rep(std::move(values)));
-        return out;
-      };
-      exec.partitions.push_back(std::move(part));
-    }
-    exec.merge = [](const std::vector<OpOutput>& parts) -> StatusOr<Value> {
-      NumberList values;
-      for (const OpOutput& part : parts) {
-        const NumberList& chunk_values = part.value.get<NumberList>();
-        values.values.insert(values.values.end(), chunk_values.values.begin(),
-                             chunk_values.values.end());
-      }
-      return Value(Value::Rep(std::move(values)));
-    };
-    return std::optional<PartitionedExecution>(std::move(exec));
   }
 };
 

@@ -86,13 +86,10 @@ struct OpStats {
   double llm_seconds = 0;
   double llm_dollars = 0;
   int64_t llm_calls = 0;
-
-  void Add(const OpStats& other) {
-    cpu_seconds += other.cpu_seconds;
-    llm_seconds += other.llm_seconds;
-    llm_dollars += other.llm_dollars;
-    llm_calls += other.llm_calls;
-  }
+  /// Seconds of each batched per-document LLM call, in issue order
+  /// (LlmFilterDocs / LlmClassifyDocs / LlmExtractValues): the executor
+  /// groups them into the node's morsel streams.
+  std::vector<double> llm_batch_seconds;
 };
 
 struct OpOutput {

@@ -112,6 +112,7 @@ StatusOr<DocList> LlmFilterDocs(const DocList& docs, const OpArgs& args,
     stats.llm_seconds += result.seconds;
     stats.llm_dollars += result.dollars;
     stats.llm_calls += 1;
+    stats.llm_batch_seconds.push_back(result.seconds);
     for (size_t i = 0; i < batch.size(); ++i) {
       if (result.items[i] == "yes") kept.push_back(batch[i]);
     }
@@ -170,6 +171,7 @@ StatusOr<std::vector<std::string>> LlmClassifyDocs(const DocList& docs,
     stats.llm_seconds += result.seconds;
     stats.llm_dollars += result.dollars;
     stats.llm_calls += 1;
+    stats.llm_batch_seconds.push_back(result.seconds);
     for (auto& label : result.items) labels.push_back(std::move(label));
   }
   return labels;
@@ -202,6 +204,7 @@ StatusOr<std::vector<double>> LlmExtractValues(const DocList& docs,
     stats.llm_seconds += result.seconds;
     stats.llm_dollars += result.dollars;
     stats.llm_calls += 1;
+    stats.llm_batch_seconds.push_back(result.seconds);
     for (const auto& item : result.items) {
       values.push_back(ParseDouble(item).value_or(0.0));
     }

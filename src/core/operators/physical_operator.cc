@@ -33,28 +33,18 @@ int PlanPartitionCount(double cardinality, int llm_batch_size,
   return std::max(1, std::min(max_partitions, batches));
 }
 
-std::vector<DocList> PartitionDocs(const DocList& docs, int llm_batch_size,
-                                   int max_partitions) {
-  size_t batch = static_cast<size_t>(std::max(1, llm_batch_size));
-  size_t num_batches = (docs.size() + batch - 1) / batch;
-  int k = PlanPartitionCount(static_cast<double>(docs.size()), llm_batch_size,
-                             max_partitions);
-  if (k <= 1 || num_batches <= 1) return {docs};
-  std::vector<DocList> chunks;
-  chunks.reserve(static_cast<size_t>(k));
-  for (int i = 0; i < k; ++i) {
-    // Contiguous whole-batch ranges: chunk i covers batches
-    // [i*nb/k, (i+1)*nb/k), so boundaries always land on batch edges.
-    size_t lo_batch = num_batches * static_cast<size_t>(i) /
-                      static_cast<size_t>(k);
-    size_t hi_batch = num_batches * static_cast<size_t>(i + 1) /
-                      static_cast<size_t>(k);
-    size_t lo = std::min(docs.size(), lo_batch * batch);
-    size_t hi = std::min(docs.size(), hi_batch * batch);
-    chunks.emplace_back(docs.begin() + static_cast<ptrdiff_t>(lo),
-                        docs.begin() + static_cast<ptrdiff_t>(hi));
+std::vector<double> GroupBatchSeconds(const std::vector<double>& batch_seconds,
+                                      int max_partitions) {
+  const size_t nb = batch_seconds.size();
+  const size_t k = static_cast<size_t>(PlanPartitionCount(
+      static_cast<double>(nb), /*llm_batch_size=*/1, max_partitions));
+  std::vector<double> runs(k, 0.0);
+  for (size_t i = 0; i < k; ++i) {
+    for (size_t b = nb * i / k; b < nb * (i + 1) / k; ++b) {
+      runs[i] += batch_seconds[b];
+    }
   }
-  return chunks;
+  return runs;
 }
 
 }  // namespace unify::core

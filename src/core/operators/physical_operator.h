@@ -1,8 +1,6 @@
 #ifndef UNIFY_CORE_OPERATORS_PHYSICAL_OPERATOR_H_
 #define UNIFY_CORE_OPERATORS_PHYSICAL_OPERATOR_H_
 
-#include <functional>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -10,36 +8,10 @@
 
 namespace unify::core {
 
-/// One morsel of an operator's partitionable work: an independent closure
-/// that issues its own LLM stream and returns a partial result. Closures
-/// capture their document chunk by value and the ExecContext by reference
-/// (the executor keeps it alive for the node's whole run); they are safe to
-/// run concurrently with each other because the LLM client and corpus are
-/// thread-safe and every closure owns its partial OpStats.
-struct OpPartition {
-  std::function<StatusOr<OpOutput>()> run;
-  /// Documents this morsel covers (for cost attribution and telemetry).
-  size_t num_docs = 0;
-};
-
-/// A partitioned execution plan for one operator invocation, produced by
-/// PhysicalOperator::Partition. Running every partition (in any order, any
-/// concurrency) and then calling `merge` on the partial outputs — indexed
-/// in partition order — yields a value byte-identical to the sequential
-/// Execute() path. Partitions are whole LLM batches, so the set of LLM
-/// calls (and therefore OpStats totals) is also identical to sequential
-/// execution; `base_stats` accounts setup work already performed while
-/// partitioning (e.g. IndexScanFilter's ANN probe) plus any merge-side CPU.
-struct PartitionedExecution {
-  OpStats base_stats;
-  std::vector<OpPartition> partitions;
-  std::function<StatusOr<Value>(const std::vector<OpOutput>&)> merge;
-};
-
 /// A family of physical operator implementations (paper Section IV-B)
-/// behind a uniform interface: sequential execution, candidate enumeration
-/// for the optimizer, and optional morsel-driven partitioning of
-/// per-document LLM work (intra-operator parallelism). Implementations are
+/// behind a uniform interface: execution, candidate enumeration for the
+/// optimizer, and whether an implementation's per-document LLM work can be
+/// laid out as morsels (intra-operator parallelism). Implementations are
 /// stateless singletons; all methods are const and thread-safe.
 class PhysicalOperator {
  public:
@@ -48,8 +20,8 @@ class PhysicalOperator {
   /// Logical operator names this family implements (registry keys).
   virtual std::vector<std::string> OpNames() const = 0;
 
-  /// Whole-input sequential execution — the parallelism-1 semantics every
-  /// other path must reproduce exactly.
+  /// Whole-input execution: the one way a plan node runs, at every
+  /// parallelism.
   virtual StatusOr<OpOutput> Execute(const std::string& op_name,
                                      PhysicalImpl impl, const OpArgs& args,
                                      const std::vector<Value>& inputs,
@@ -61,23 +33,14 @@ class PhysicalOperator {
   virtual std::vector<PhysicalImpl> Candidates(const std::string& op_name,
                                                const OpArgs& args) const = 0;
 
-  /// True when `impl` does per-document LLM work that Partition() can
-  /// split into independent morsels. CPU-only impls and single-call LLM
-  /// impls (e.g. kLlmCount) report false — they have zero LLM partitions.
+  /// True when `impl` does per-document LLM work in whole batches over a
+  /// flat document list (recording each call in
+  /// OpStats::llm_batch_seconds), so the executor may lay the run out as
+  /// morsels of contiguous batches (GroupBatchSeconds). CPU-only impls
+  /// and single-call LLM impls (e.g. kLlmCount) report false.
   virtual bool SupportsPartitioning(const std::string& op_name,
                                     PhysicalImpl impl) const {
     return false;
-  }
-
-  /// Splits this invocation into at most `max_partitions` morsels.
-  /// Returns nullopt when partitioning does not apply (unsupported impl,
-  /// grouped input, or fewer than two whole-batch morsels) — the caller
-  /// then falls back to Execute(). Never performs LLM work itself.
-  virtual StatusOr<std::optional<PartitionedExecution>> Partition(
-      const std::string& op_name, PhysicalImpl impl, const OpArgs& args,
-      const std::vector<Value>& inputs, ExecContext& ctx,
-      int max_partitions) const {
-    return std::optional<PartitionedExecution>();
   }
 };
 
@@ -92,13 +55,12 @@ const PhysicalOperator* FindPhysicalOperator(const std::string& op_name);
 int PlanPartitionCount(double cardinality, int llm_batch_size,
                        int max_partitions);
 
-/// Splits `docs` into contiguous chunks of whole LLM batches, one chunk
-/// per morsel. Concatenating the chunks in order reproduces `docs`, and
-/// every chunk boundary is a batch boundary, so batched LLM helpers issue
-/// exactly the same calls over the chunks as over the whole list. Returns
-/// a single chunk when PlanPartitionCount says 1 (or `docs` is empty).
-std::vector<DocList> PartitionDocs(const DocList& docs, int llm_batch_size,
-                                   int max_partitions);
+/// Groups one run's per-batch LLM seconds into its morsel streams: k =
+/// PlanPartitionCount(batches) contiguous runs of whole batches, run i
+/// covering batches [nb*i/k, nb*(i+1)/k), each summed in batch order.
+/// Returns a single run (the whole stream) when k is 1.
+std::vector<double> GroupBatchSeconds(const std::vector<double>& batch_seconds,
+                                      int max_partitions);
 
 }  // namespace unify::core
 

@@ -73,6 +73,33 @@ int PartitionsFor(const OptimizerOptions& opts, const PhysicalNode& node,
       opts.llm_batch_size, opts.max_intra_op_parallelism);
 }
 
+/// The predicted NodeCost of every node for the list scheduler: LLM impls
+/// as one stream, split into `est_partitions` equal morsels when
+/// `max_parallelism` > 1; everything else as CPU work. Nodes marked in
+/// `executed` (when given) cost nothing — their time is already sunk.
+std::vector<exec::NodeCost> PredictedCosts(
+    const std::vector<PhysicalNode>& nodes, int max_parallelism,
+    const std::vector<bool>* executed = nullptr) {
+  std::vector<exec::NodeCost> costs(nodes.size());
+  for (size_t u = 0; u < nodes.size(); ++u) {
+    if (executed != nullptr && (*executed)[u]) continue;
+    const PhysicalNode& node = nodes[u];
+    exec::NodeCost& c = costs[u];
+    if (!ImplUsesLlm(node.impl)) {
+      c.cpu_seconds = node.est_seconds;
+      continue;
+    }
+    c.llm_seconds = node.est_seconds;
+    if (max_parallelism > 1 && node.est_partitions > 1) {
+      c.llm_partitions.assign(
+          static_cast<size_t>(node.est_partitions),
+          node.est_seconds / static_cast<double>(node.est_partitions));
+      c.max_parallelism = max_parallelism;
+    }
+  }
+  return costs;
+}
+
 /// Cost-based implementation choice (Section VI-C) for one non-Scan node:
 /// ranks `valid` by estimated sequential cost under `opts.objective`
 /// (sizing IndexScanFilter's candidate set from the node's estimated
@@ -588,40 +615,20 @@ StatusOr<PhysicalPlan> PhysicalOptimizer::OptimizeImpl(
   }
 
   // --- Predicted makespan for plan selection ---
-  std::vector<exec::NodeCost> costs;
-  costs.reserve(plan.nodes.size());
-  for (const auto& node : plan.nodes) {
-    exec::NodeCost c;
-    if (ImplUsesLlm(node.impl)) {
-      c.llm_seconds = node.est_seconds;
-      if (node.est_partitions > 1) {
-        c.llm_partitions.assign(
-            static_cast<size_t>(node.est_partitions),
-            node.est_seconds / static_cast<double>(node.est_partitions));
-        c.max_parallelism = opts.max_intra_op_parallelism;
-      }
-    } else {
-      c.cpu_seconds = node.est_seconds;
-    }
-    costs.push_back(c);
-  }
   UNIFY_ASSIGN_OR_RETURN(
       exec::ScheduleResult sched,
-      exec::ScheduleDag(plan.dag, costs, opts.num_servers,
-                        /*sequential=*/false));
+      exec::ScheduleDag(plan.dag,
+                        PredictedCosts(plan.nodes,
+                                       opts.max_intra_op_parallelism),
+                        opts.num_servers, /*sequential=*/false));
   plan.est_makespan = sched.makespan;
   // Parallelism-independent ranking key: the same schedule with every
   // node as one sequential stream.
   if (opts.max_intra_op_parallelism > 1) {
-    std::vector<exec::NodeCost> seq_costs = costs;
-    for (auto& c : seq_costs) {
-      c.llm_partitions.clear();
-      c.max_parallelism = 1;
-    }
     UNIFY_ASSIGN_OR_RETURN(
         exec::ScheduleResult seq_sched,
-        exec::ScheduleDag(plan.dag, seq_costs, opts.num_servers,
-                          /*sequential=*/false));
+        exec::ScheduleDag(plan.dag, PredictedCosts(plan.nodes, 1),
+                          opts.num_servers, /*sequential=*/false));
     plan.est_seq_makespan = seq_sched.makespan;
   } else {
     plan.est_seq_makespan = sched.makespan;
@@ -746,31 +753,14 @@ StatusOr<ReoptimizeResult> PhysicalOptimizer::Reoptimize(
   // `elapsed_seconds`), every root becomes ready at the elapsed clock.
   auto probe = [&](const std::vector<PhysicalNode>& nodes)
       -> StatusOr<double> {
-    std::vector<exec::NodeCost> costs;
-    costs.reserve(nodes.size());
-    for (size_t u = 0; u < nodes.size(); ++u) {
-      exec::NodeCost c;
-      if (!executed[u]) {
-        const PhysicalNode& node = nodes[u];
-        if (ImplUsesLlm(node.impl)) {
-          c.llm_seconds = node.est_seconds;
-          if (node.est_partitions > 1) {
-            c.llm_partitions.assign(
-                static_cast<size_t>(node.est_partitions),
-                node.est_seconds / static_cast<double>(node.est_partitions));
-            c.max_parallelism = opts.max_intra_op_parallelism;
-          }
-        } else {
-          c.cpu_seconds = node.est_seconds;
-        }
-      }
-      costs.push_back(c);
-    }
     exec::VirtualLlmPool pool(std::max(1, opts.num_servers));
     UNIFY_ASSIGN_OR_RETURN(
         exec::ScheduleResult sched,
-        exec::ScheduleDag(next.dag, costs, &pool, /*sequential=*/false,
-                          elapsed_seconds));
+        exec::ScheduleDag(next.dag,
+                          PredictedCosts(nodes,
+                                         opts.max_intra_op_parallelism,
+                                         &executed),
+                          &pool, /*sequential=*/false, elapsed_seconds));
     return sched.makespan;
   };
   UNIFY_ASSIGN_OR_RETURN(result.old_suffix_makespan, probe(old_nodes));

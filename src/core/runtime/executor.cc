@@ -1,19 +1,44 @@
 #include "core/runtime/executor.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
-
 #include <mutex>
 #include <optional>
+#include <sstream>
 
 #include "common/metrics.h"
 #include "common/stats.h"
+#include "common/string_util.h"
 #include "common/telemetry_names.h"
 #include "core/operators/custom_ops.h"
 #include "core/operators/physical_operator.h"
 
 namespace unify::core {
+namespace {
+
+/// Rounds of alternative implementations a failing operator tries during
+/// plan adjustment.
+constexpr int kMaxAdjustments = 2;
+
+}  // namespace
+
+std::string FormatReplan(const ReplanRecord& record) {
+  std::ostringstream os;
+  os << "@ t=" << FormatDouble(record.elapsed_seconds, 1) << "s: "
+     << record.trigger_var << " observed "
+     << FormatDouble(record.observed_card, 0) << " vs est "
+     << FormatDouble(record.estimated_card, 0) << " (q-err "
+     << FormatDouble(record.qerror, 2) << ") -> ";
+  if (record.adopted) {
+    os << "adopted (" << record.nodes_rechosen
+       << " nodes re-lowered, suffix est "
+       << FormatDouble(record.old_suffix_cost, 3) << " -> "
+       << FormatDouble(record.new_suffix_cost, 3) << ")";
+  } else {
+    os << "kept plan";
+  }
+  return os.str();
+}
 
 void PlanExecutor::Begin(const PhysicalPlan& plan, ExecutionState& state,
                          Trace* trace, SpanId parent) {
@@ -26,7 +51,6 @@ void PlanExecutor::Begin(const PhysicalPlan& plan, ExecutionState& state,
   fallback_execution_.reset();
   fallback_stats_ = OpStats{};
   state.node_spans.assign(plan.nodes.size(), kNoSpan);
-  state.node_partitions.assign(plan.nodes.size(), {});
   state.done.assign(plan.nodes.size(), false);
   state.replan_checked.assign(plan.nodes.size(), false);
   const bool shared = options_.shared_pool != nullptr;
@@ -36,14 +60,12 @@ void PlanExecutor::Begin(const PhysicalPlan& plan, ExecutionState& state,
         std::max(1, options_.num_servers));
   }
   state.pool = shared ? options_.shared_pool : state.local_pool.get();
-  state.sched_start.assign(plan.nodes.size(), state.base);
-  state.sched_finish.assign(plan.nodes.size(), state.base);
-  state.makespan = state.base;
-  state.seq_clock = state.base;
-  state.resume_floor = state.base;
+  state.scheduler.emplace(state.plan.dag, state.pool, !options_.parallel,
+                          state.base);
 }
 
-Status PlanExecutor::RunNode(ExecutionState& state, int u) {
+StatusOr<exec::NodeCost> PlanExecutor::RunNode(ExecutionState& state,
+                                               int u) {
   const PhysicalNode& node = state.plan.nodes[u];
   Trace* trace = state.trace;
   NodeExecution& record = node_executions_[u];
@@ -77,84 +99,8 @@ Status PlanExecutor::RunNode(ExecutionState& state, int u) {
 
   ExecContext ctx = ctx_;  // per-node copy (cheap; pointers only)
 
-  // Runs one partitioned execution: every morsel is an independent LLM
-  // stream (its own lanes on the virtual server pool, see ScheduleNode),
-  // run in turn on this thread and merged order-stably into the node's
-  // output. Partitions are whole LLM batches, so the calls issued — and
-  // therefore the answer and the summed OpStats — are byte-identical to
-  // sequential.
-  auto run_partitioned =
-      [&](const PartitionedExecution& pe) -> StatusOr<OpOutput> {
-    const size_t num_parts = pe.partitions.size();
-    MetricAddCounter(telemetry::kMetricExecPartitions,
-                       static_cast<double>(num_parts));
-    node_span.AddAttr("partitions", static_cast<int64_t>(num_parts));
-    std::vector<StatusOr<OpOutput>> parts(
-        num_parts, Status::Internal("partition not run"));
-    for (size_t i = 0; i < num_parts; ++i) {
-      ScopedSpan part_span(trace, telemetry::kSpanExecPartition,
-                           node_span.id());
-      if (trace != nullptr) {
-        part_span.AddAttr("partition", static_cast<int64_t>(i));
-        part_span.AddAttr("docs",
-                          static_cast<int64_t>(pe.partitions[i].num_docs));
-      }
-      parts[i] = pe.partitions[i].run();
-      if (trace != nullptr) {
-        if (parts[i].ok()) {
-          part_span.AddAttr("llm_seconds", parts[i]->stats.llm_seconds);
-          part_span.AddAttr("llm_calls", parts[i]->stats.llm_calls);
-        } else {
-          part_span.AddAttr("status", parts[i].status().ToString());
-        }
-      }
-    }
-    OpOutput out;
-    out.stats = pe.base_stats;
-    std::vector<double> part_llm;
-    part_llm.reserve(num_parts);
-    std::vector<OpOutput> outputs;
-    outputs.reserve(num_parts);
-    for (StatusOr<OpOutput>& part : parts) {
-      if (!part.ok()) return part.status();
-      out.stats.Add(part->stats);
-      part_llm.push_back(part->stats.llm_seconds);
-      outputs.push_back(std::move(*part));
-    }
-    const auto merge_start = std::chrono::steady_clock::now();
-    UNIFY_ASSIGN_OR_RETURN(out.value, pe.merge(outputs));
-    const double merge_seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      merge_start)
-            .count();
-    MetricObserve(telemetry::kMetricExecPartitionMerge, merge_seconds);
-    node_span.AddAttr("merge_seconds", merge_seconds);
-    state.node_partitions[u] = std::move(part_llm);
-    return out;
-  };
-
-  // Try morsel-driven execution first; anything unpartitionable (CPU
-  // impls, grouped inputs, custom ops, single-batch inputs) falls back
-  // to the whole-input path with identical semantics.
-  std::optional<StatusOr<OpOutput>> partitioned_output;
-  if (options_.max_intra_op_parallelism > 1 && ctx.llm != nullptr &&
-      (ctx.custom_ops == nullptr ||
-       ctx.custom_ops->Find(node.logical.op_name) == nullptr)) {
-    if (const PhysicalOperator* family =
-            FindPhysicalOperator(node.logical.op_name);
-        family != nullptr) {
-      auto pe = family->Partition(node.logical.op_name, node.impl,
-                                  node.logical.args, inputs, ctx,
-                                  options_.max_intra_op_parallelism);
-      if (pe.ok() && pe->has_value()) {
-        partitioned_output = run_partitioned(**pe);
-      }
-    }
-  }
-  auto output = partitioned_output.has_value()
-                    ? std::move(*partitioned_output)
-                    : ExecuteOp(node.logical.op_name, node.impl,
-                                node.logical.args, inputs, ctx);
+  auto output = ExecuteOp(node.logical.op_name, node.impl,
+                          node.logical.args, inputs, ctx);
 
   // Plan adjustment (Section III-C): when an operator fails to produce
   // the expected result, retry with alternative physical
@@ -168,7 +114,7 @@ Status PlanExecutor::RunNode(ExecutionState& state, int u) {
     record.adjusted = true;
     MetricAddCounter(telemetry::kMetricExecAdjustments);
     for (int attempt = 0;
-         attempt < options_.max_adjustments && !output.ok(); ++attempt) {
+         attempt < kMaxAdjustments && !output.ok(); ++attempt) {
       bool retried = false;
       for (PhysicalImpl alt :
            CandidateImpls(node.logical.op_name, node.logical.args)) {
@@ -200,125 +146,56 @@ Status PlanExecutor::RunNode(ExecutionState& state, int u) {
     node_span.AddAttr("cpu_seconds", output->stats.cpu_seconds);
     node_span.AddAttr("dollars", output->stats.llm_dollars);
   }
-  node_stats_[u] = output->stats;
-  record.executed = true;
-  record.actual_out_card = static_cast<double>(output->value.Cardinality());
-  record.partitions = state.node_partitions[u].size() > 1
-                          ? static_cast<int>(state.node_partitions[u].size())
-                          : 1;
-  state.done[u] = true;
-  if (!node.logical.output_var.empty()) {
-    state.vars[node.logical.output_var] = output->value;
-  }
-  return Status::OK();
-}
-
-double PlanExecutor::ScheduleNode(ExecutionState& state, int u,
-                                  double ready) {
-  const OpStats& stats = node_stats_[u];
-  const std::vector<double>& parts = state.node_partitions[u];
-  double finish;
-  if (options_.max_intra_op_parallelism > 1 && parts.size() > 1) {
-    finish = state.pool->ScheduleParallelStream(
-        ready + stats.cpu_seconds, parts, options_.max_intra_op_parallelism);
-  } else {
-    finish = state.pool->ScheduleStream(ready + stats.cpu_seconds,
-                                        stats.llm_seconds);
-  }
-  state.sched_start[u] = ready;
-  state.sched_finish[u] = finish;
-  state.makespan = std::max(state.makespan, finish);
-  return finish;
-}
-
-void PlanExecutor::AdvanceFrontier(ExecutionState& state, int u) {
-  for (int v : state.plan.dag.children(u)) {
-    if (--state.pending_parents[v] == 0) {
-      double ready = state.base;
-      for (int p : state.plan.dag.parents(v)) {
-        ready = std::max(ready, state.sched_finish[p]);
-      }
-      state.frontier.push_back({ready, v});
+  exec::NodeCost cost;
+  cost.cpu_seconds = output->stats.cpu_seconds;
+  cost.llm_seconds = output->stats.llm_seconds;
+  // Morsels: the first impl's run over a flat document list, laid out as
+  // contiguous runs of its whole LLM batches (plan adjustment's retries
+  // and custom ops run as one stream).
+  const int parallelism = options_.max_intra_op_parallelism;
+  const PhysicalOperator* family = FindPhysicalOperator(node.logical.op_name);
+  if (parallelism > 1 && !record.adjusted && family != nullptr &&
+      family->SupportsPartitioning(node.logical.op_name, node.impl) &&
+      !inputs.empty() && inputs[0].is<DocList>() &&
+      (ctx.custom_ops == nullptr ||
+       ctx.custom_ops->Find(node.logical.op_name) == nullptr)) {
+    std::vector<double> morsels =
+        GroupBatchSeconds(output->stats.llm_batch_seconds, parallelism);
+    if (morsels.size() > 1) {
+      MetricAddCounter(telemetry::kMetricExecPartitions,
+                       static_cast<double>(morsels.size()));
+      node_span.AddAttr("partitions", static_cast<int64_t>(morsels.size()));
+      record.partitions = static_cast<int>(morsels.size());
+      cost.llm_partitions = std::move(morsels);
+      cost.max_parallelism = parallelism;
     }
   }
+  node_stats_[u] = std::move(output->stats);
+  record.executed = true;
+  record.actual_out_card = static_cast<double>(output->value.Cardinality());
+  state.done[u] = true;
+  if (!node.logical.output_var.empty()) {
+    state.vars[node.logical.output_var] = std::move(output->value);
+  }
+  return cost;
 }
 
 std::optional<ReplanRequest> PlanExecutor::Run(ExecutionState& state) {
   if (!state.run_status.ok()) return std::nullopt;
-  const bool sequential = !options_.parallel;
   const size_t n = state.plan.nodes.size();
-  if (!state.engine_started) {
-    state.engine_started = true;
-    if (sequential) {
-      // The whole topological order, walked front to back.
-      auto order = state.plan.dag.TopologicalOrder();
-      if (!order.ok()) {
-        state.run_status = order.status();
-        return std::nullopt;
-      }
-      for (int u : *order) state.frontier.push_back({state.base, u});
-    } else {
-      state.pending_parents.assign(n, 0);
-      for (size_t u = 0; u < n; ++u) {
-        state.pending_parents[u] =
-            static_cast<int>(state.plan.dag.parents(static_cast<int>(u))
-                                 .size());
-        if (state.pending_parents[u] == 0) {
-          state.frontier.push_back({state.base, static_cast<int>(u)});
-        }
-      }
-    }
-  }
+  exec::ListScheduler& scheduler = *state.scheduler;
   while (true) {
-    // Pick the next node the list scheduler would dispatch:
-    // sequential mode walks the topological order; parallel mode takes
-    // the earliest-ready frontier entry (ties to the lower node index).
-    int u = -1;
-    double ready = 0;
-    if (sequential) {
-      if (state.frontier_pos < state.frontier.size()) {
-        u = state.frontier[state.frontier_pos].second;
-        ++state.frontier_pos;
-        ready = std::max(state.seq_clock, state.resume_floor);
-      }
-    } else {
-      size_t best = state.frontier.size();
-      for (size_t i = 0; i < state.frontier.size(); ++i) {
-        if (best == state.frontier.size() ||
-            state.frontier[i].first < state.frontier[best].first ||
-            (state.frontier[i].first == state.frontier[best].first &&
-             state.frontier[i].second < state.frontier[best].second)) {
-          best = i;
-        }
-      }
-      if (best < state.frontier.size()) {
-        u = state.frontier[best].second;
-        ready = std::max(state.frontier[best].first, state.resume_floor);
-        state.frontier.erase(state.frontier.begin() +
-                             static_cast<long>(best));
-      }
-    }
+    const int u = scheduler.Next();
     if (u < 0) {
-      size_t executed = 0;
-      for (bool d : state.done) executed += d ? 1 : 0;
-      if (executed != n) {
-        state.run_status =
-            Status::FailedPrecondition("cycle detected in plan DAG");
-      }
+      state.run_status = scheduler.status();
       return std::nullopt;
     }
-
-    Status st = RunNode(state, u);
-    if (!st.ok()) {
-      state.run_status = st;
+    StatusOr<exec::NodeCost> cost = RunNode(state, u);
+    if (!cost.ok()) {
+      state.run_status = cost.status();
       return std::nullopt;
     }
-    const double finish = ScheduleNode(state, u, ready);
-    if (sequential) {
-      state.seq_clock = finish;
-    } else {
-      AdvanceFrontier(state, u);
-    }
+    const double finish = scheduler.Place(u, *cost);
 
     // Materialization-point trigger: pause when the node's observed
     // cardinality diverges from the optimizer's estimate and un-executed
@@ -367,10 +244,7 @@ void PlanExecutor::ApplyReplan(ExecutionState& state, ReplanRecord record,
   state.replan_seconds += record.decision_seconds;
   state.replan_dollars += record.decision_dollars;
   state.replan_calls += 1;
-  state.resume_floor =
-      std::max(state.resume_floor,
-               record.elapsed_seconds + record.decision_seconds);
-  state.makespan = std::max(state.makespan, state.resume_floor);
+  state.scheduler->SetFloor(record.elapsed_seconds + record.decision_seconds);
   record.adopted = new_plan != nullptr;
   for (size_t i = 0; i < state.plan.nodes.size(); ++i) {
     if (!state.done[i]) record.suffix_nodes.push_back(static_cast<int>(i));
@@ -422,22 +296,25 @@ ExecutionResult PlanExecutor::Finish(ExecutionState& state) {
   // Report times relative to the query's own ready time, so standalone
   // and served queries read the same way; contention shows up as a
   // longer makespan and per-node queue waits.
-  result.virtual_seconds = state.makespan - state.base;
+  const exec::ListScheduler& scheduler = *state.scheduler;
+  const std::vector<double>& start = scheduler.start();
+  const std::vector<double>& finish = scheduler.finish();
+  result.virtual_seconds = scheduler.makespan() - state.base;
   // Annotate each node span with its virtual interval on the server
   // pool, plus the time it spent waiting for a free server.
   for (size_t i = 0; i < state.plan.nodes.size(); ++i) {
     const double busy =
         node_stats_[i].cpu_seconds + node_stats_[i].llm_seconds;
     const double queue_wait = std::max(
-        0.0, state.sched_finish[i] - state.sched_start[i] - busy);
+        0.0, finish[i] - start[i] - busy);
     MetricObserve(telemetry::kMetricExecQueueWait, queue_wait);
-    node_executions_[i].virt_start = state.sched_start[i] - state.base;
-    node_executions_[i].virt_finish = state.sched_finish[i] - state.base;
+    node_executions_[i].virt_start = start[i] - state.base;
+    node_executions_[i].virt_finish = finish[i] - state.base;
     node_executions_[i].queue_wait_seconds = queue_wait;
     if (trace != nullptr && state.node_spans[i] != kNoSpan) {
       trace->SetVirtualInterval(state.node_spans[i],
-                                state.sched_start[i] - state.base,
-                                state.sched_finish[i] - state.base);
+                                start[i] - state.base,
+                                finish[i] - state.base);
       trace->AddAttr(state.node_spans[i], "queue_wait_seconds", queue_wait);
     }
   }
@@ -458,8 +335,8 @@ ExecutionResult PlanExecutor::Finish(ExecutionState& state) {
     std::snprintf(line, sizeof(line),
                   "t=%8.2fs..%8.2fs  %-10s <%s> -> %s  (llm %.2fs, %lld "
                   "calls)\n",
-                  state.sched_start[i] - state.base,
-                  state.sched_finish[i] - state.base,
+                  start[i] - state.base,
+                  finish[i] - state.base,
                   state.plan.nodes[i].logical.op_name.c_str(),
                   PhysicalImplName(state.plan.nodes[i].impl),
                   state.plan.nodes[i].logical.output_var.c_str(),
@@ -497,8 +374,7 @@ ExecutionResult PlanExecutor::Finish(ExecutionState& state) {
     // every implementation (e.g. a zero-denominator ratio, an empty
     // aggregate). Instead of restarting from scratch, replan the query
     // through the Section V-D fallback strategies.
-    if (ctx_.llm != nullptr && !state.plan.query_text.empty() &&
-        options_.max_adjustments > 0) {
+    if (ctx_.llm != nullptr && !state.plan.query_text.empty()) {
       ScopedSpan fallback_span(trace, telemetry::kSpanExecFallback,
                                exec_span.id());
       fallback_span.AddAttr("failed_status", state.run_status.ToString());

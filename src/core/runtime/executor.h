@@ -11,6 +11,7 @@
 #include "common/trace.h"
 #include "core/physical/physical_plan.h"
 #include "corpus/answer.h"
+#include "exec/schedule.h"
 #include "exec/virtual_pool.h"
 
 namespace unify::core {
@@ -52,7 +53,7 @@ struct NodeExecution {
   double actual_in_card = 0;
   /// Measured output cardinality of the value the node produced.
   double actual_out_card = 0;
-  /// Morsels the node actually ran as (1 = sequential single stream).
+  /// Morsel streams the node's run was laid out as (1 = one stream).
   int partitions = 1;
   /// True when plan adjustment fired on this node (its first impl failed).
   bool adjusted = false;
@@ -127,6 +128,12 @@ struct ReplanRecord {
   std::string detail;
 };
 
+/// The one-line account of a replan shared by the flight recorder detail
+/// ("replan @ t=...") and EXPLAIN ANALYZE ("replan #N @ t=..."):
+/// "@ t=<elapsed>s: <var> observed <card> vs est <card> (q-err <q>) ->
+/// adopted (...)" or "... -> kept plan".
+std::string FormatReplan(const ReplanRecord& record);
+
 /// The execution module (paper Section III-C): runs a physical plan with
 /// parallel topological execution, dynamic plan adjustment on operator
 /// failure, and virtual-time accounting on the simulated LLM server pool.
@@ -146,14 +153,12 @@ class PlanExecutor {
     int num_servers = 4;
     /// Disable DAG parallelism (the Unify–noLO ablation, Section VII-D).
     bool parallel = true;
-    /// Retries per failing operator during plan adjustment.
-    int max_adjustments = 2;
-    /// Morsel-driven intra-operator parallelism: a partitionable
-    /// per-document LLM operator splits into up to this many independent
-    /// whole-batch partitions that occupy distinct virtual servers
-    /// concurrently.
-    /// Answers are byte-identical for every setting; 1 reproduces the
-    /// sequential single-stream model exactly.
+    /// Morsel-driven intra-operator parallelism: the one run of a
+    /// partitionable per-document LLM operator is laid out as up to this
+    /// many morsels of contiguous whole batches, occupying distinct
+    /// virtual servers concurrently. Only the virtual timeline depends on
+    /// it: answers, LLM calls and dollars are bit-identical for every
+    /// setting, and 1 is the single-stream model.
     int max_intra_op_parallelism = 1;
     /// Mid-query re-optimization (docs/replanning.md): pause Run() at
     /// materialization points whose cardinality q-error reaches the
@@ -184,11 +189,10 @@ class PlanExecutor {
   };
 
   /// Everything one plan execution carries across the staged engine's
-  /// pauses: the (possibly replanned) plan, the DAG frontier, bound
-  /// variable values, the incremental virtual-time schedule, and the
-  /// replans applied so far. Created by Begin(), advanced by Run(),
-  /// finalized by Finish(). Not movable (owns a mutex); construct in
-  /// place and pass by reference.
+  /// pauses: the (possibly replanned) plan, bound variable values, the
+  /// incremental virtual-time schedule, and the replans applied so far.
+  /// Created by Begin(), advanced by Run(), finalized by Finish(). Not
+  /// movable (owns a mutex); construct in place and pass by reference.
   struct ExecutionState {
     ExecutionState() = default;
     ExecutionState(const ExecutionState&) = delete;
@@ -206,41 +210,21 @@ class PlanExecutor {
     Status run_status = Status::OK();
     /// Span of each DAG node, for post-hoc virtual-interval annotation.
     std::vector<SpanId> node_spans;
-    /// Per-partition LLM stream seconds of nodes that actually split.
-    std::vector<std::vector<double>> node_partitions;
     /// Which nodes have finished executing.
     std::vector<bool> done;
     /// Nodes already checked against the replan trigger (so a resumed
     /// Run() never re-fires on the same materialization point).
     std::vector<bool> replan_checked;
 
-    /// Virtual-time accounting: each node's stream is scheduled the
-    /// moment it materializes, so elapsed time is known at pause points.
-    /// `base` is the query's ready time on the pool.
+    /// Virtual-time accounting: each node's measured cost is placed on
+    /// the pool the moment it materializes, so elapsed time is known at
+    /// pause points. `base` is the query's ready time on the pool; the
+    /// scheduler also picks the dispatch order, and a replan pause floors
+    /// the un-executed suffix to trigger finish + decision time.
     double base = 0;
     std::unique_ptr<exec::VirtualLlmPool> local_pool;
     exec::VirtualLlmPool* pool = nullptr;
-    /// Absolute start/finish of each node on the pool.
-    std::vector<double> sched_start;
-    std::vector<double> sched_finish;
-    /// Absolute completion time of everything scheduled so far.
-    double makespan = 0;
-    /// Adaptive dispatch frontier: nodes whose dependencies finished,
-    /// with their ready times (absolute), and remaining parent counts.
-    /// In sequential mode the frontier is the whole topological order and
-    /// `frontier_pos` walks it; in parallel mode Run() pops the
-    /// earliest-ready entry (ties to the lower node index), mirroring the
-    /// list scheduler exec::ScheduleDag exactly.
-    bool engine_started = false;
-    std::vector<std::pair<double, int>> frontier;
-    size_t frontier_pos = 0;
-    std::vector<int> pending_parents;
-    /// Sequential-mode (parallel=false) virtual clock.
-    double seq_clock = 0;
-    /// Barrier: no node may start before this absolute time (a replan
-    /// pause floors the un-executed suffix to trigger finish + decision
-    /// time).
-    double resume_floor = 0;
+    std::optional<exec::ListScheduler> scheduler;
 
     /// Replans applied so far and their charged decision costs.
     std::vector<ReplanRecord> replans;
@@ -260,8 +244,8 @@ class PlanExecutor {
   void Begin(const PhysicalPlan& plan, ExecutionState& state,
              Trace* trace = nullptr, SpanId parent = kNoSpan);
 
-  /// Executes nodes one at a time in virtual dispatch order (the order
-  /// the list scheduler exec::ScheduleDag would dispatch them) until
+  /// Executes nodes one at a time in the dispatch order of the list
+  /// scheduler (exec::ListScheduler) until
   /// either a materialization point trips the replan trigger — returning
   /// the ReplanRequest to answer with ApplyReplan before calling Run
   /// again — or the DAG completes or fails (returns nullopt; call
@@ -300,17 +284,11 @@ class PlanExecutor {
   const OpStats& fallback_stats() const { return fallback_stats_; }
 
  private:
-  /// Executes one DAG node: morsel-driven partitioning when possible,
-  /// plan adjustment on failure, stats + execution-record bookkeeping.
-  Status RunNode(ExecutionState& state, int u);
-
-  /// Schedules node `u`'s measured stream on the pool at `ready`
-  /// (absolute), recording its interval. Returns the finish time.
-  double ScheduleNode(ExecutionState& state, int u, double ready);
-
-  /// Pushes the children of completed node `u` whose dependencies are all
-  /// met onto the adaptive frontier.
-  void AdvanceFrontier(ExecutionState& state, int u);
+  /// Executes one DAG node once, with plan adjustment on failure and
+  /// stats + execution-record bookkeeping. Returns its measured cost for
+  /// the scheduler: one LLM stream, or its morsel streams when the node
+  /// is partitionable and parallelism > 1.
+  StatusOr<exec::NodeCost> RunNode(ExecutionState& state, int u);
 
   ExecContext ctx_;
   Options options_;

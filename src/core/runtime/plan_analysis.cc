@@ -205,21 +205,7 @@ std::string QueryResult::explain_analyze() const {
   // Replan boundaries: one line per mid-query re-optimization, before
   // the node rows its markers refer to (docs/replanning.md).
   for (size_t r = 0; r < replans.size(); ++r) {
-    const ReplanRecord& rec = replans[r];
-    os << "replan #" << (r + 1) << " @ t="
-       << FormatDouble(rec.elapsed_seconds, 1) << "s: " << rec.trigger_var
-       << " observed " << FormatDouble(rec.observed_card, 0) << " vs est "
-       << FormatDouble(rec.estimated_card, 0) << " (q-err "
-       << FormatDouble(rec.qerror, 2) << ") -> ";
-    if (rec.adopted) {
-      os << "adopted (" << rec.nodes_rechosen
-         << " nodes re-lowered, suffix est "
-         << FormatDouble(rec.old_suffix_cost, 3) << " -> "
-         << FormatDouble(rec.new_suffix_cost, 3) << ")";
-    } else {
-      os << "kept plan";
-    }
-    os << "\n";
+    os << "replan #" << (r + 1) << " " << FormatReplan(replans[r]) << "\n";
   }
   for (const PlanNodeAnalysis& a : plan_analysis) {
     for (int i = 0; i < a.depth; ++i) os << "  ";

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
 #include <utility>
 
 #include "common/accuracy.h"
@@ -279,21 +278,8 @@ void QueryPipeline::ConsiderReplan(const ReplanRequest& request,
     AccuracyLedger::Global().RecordReplanTriggered();
   }
 
-  std::ostringstream detail;
-  detail << "replan @ t=" << FormatDouble(request.elapsed_seconds, 1)
-         << "s: " << request.output_var << " observed "
-         << FormatDouble(request.observed_card, 0) << " vs est "
-         << FormatDouble(request.estimated_card, 0) << " (q-err "
-         << FormatDouble(request.qerror, 2) << ") -> ";
-  if (adopt_plan != nullptr) {
-    detail << "adopted (" << record.nodes_rechosen
-           << " nodes re-lowered, suffix est "
-           << FormatDouble(record.old_suffix_cost, 3) << " -> "
-           << FormatDouble(record.new_suffix_cost, 3) << ")";
-  } else {
-    detail << "kept plan";
-  }
-  record.detail = detail.str();
+  record.adopted = adopt_plan != nullptr;
+  record.detail = "replan " + FormatReplan(record);
 
   executor.ApplyReplan(state, std::move(record), adopt_plan);
 }

@@ -9,6 +9,15 @@
 #include "corpus/workload.h"
 
 namespace unify::core {
+namespace {
+
+/// Dimension of the document embeddings the HNSW index is built over.
+constexpr size_t kEmbedDim = 64;
+/// Historical predicates used to learn the importance function and to
+/// calibrate the cost model during Setup().
+constexpr int kHistorySize = 32;
+
+}  // namespace
 
 UnifySystem::UnifySystem(const corpus::Corpus* corpus, llm::LlmClient* llm,
                          UnifyOptions options)
@@ -47,7 +56,7 @@ Status UnifySystem::Setup() {
   // --- Document embedding + HNSW vector index (Section III-A) ---
   corpus::EmbeddingSpec spec = corpus::BuildEmbeddingSpec(corpus_->profile());
   embedding::TopicEmbedder::Options eopts;
-  eopts.dim = options_.embed_dim;
+  eopts.dim = kEmbedDim;
   eopts.seed = options_.seed ^ 0xe1be;
   doc_embedder_ = std::make_unique<embedding::TopicEmbedder>(
       eopts, spec.topic_tokens, spec.aliases);
@@ -72,7 +81,7 @@ Status UnifySystem::Setup() {
       options_.sce);
   estimator_->set_numeric_stats(&numeric_stats_);
   estimator_->LearnImportanceFunction(corpus::GenerateHistoricalPredicates(
-      *corpus_, options_.history_size, options_.seed ^ 0x31));
+      *corpus_, kHistorySize, options_.seed ^ 0x31));
 
   // --- Planning engine ---
   generator_ = std::make_unique<PlanGenerator>(

@@ -1,9 +1,81 @@
 #include "exec/schedule.h"
 
 #include <algorithm>
-#include <queue>
 
 namespace unify::exec {
+
+ListScheduler::ListScheduler(const Dag& dag, VirtualLlmPool* pool,
+                             bool sequential, double base)
+    : dag_(dag),
+      pool_(pool),
+      sequential_(sequential),
+      base_(base),
+      floor_(base),
+      makespan_(base),
+      clock_(base),
+      ready_at_(dag.size(), base),
+      start_(dag.size(), base),
+      finish_(dag.size(), base) {
+  if (sequential_) {
+    // A cycle leaves the order empty, so status() reports it.
+    order_ = dag.TopologicalOrder().value_or({});
+    return;
+  }
+  pending_.assign(dag.size(), 0);
+  for (size_t u = 0; u < dag.size(); ++u) {
+    pending_[u] = static_cast<int>(dag.parents(static_cast<int>(u)).size());
+    if (pending_[u] == 0) ready_.push({base, static_cast<int>(u)});
+  }
+}
+
+int ListScheduler::Next() {
+  if (sequential_) {
+    return order_pos_ < order_.size() ? order_[order_pos_++] : -1;
+  }
+  if (ready_.empty()) return -1;
+  const Ready next = ready_.top();
+  ready_.pop();
+  ready_at_[next.node] = next.time;
+  return next.node;
+}
+
+double ListScheduler::Place(int u, const NodeCost& cost) {
+  const double ready =
+      std::max(sequential_ ? clock_ : ready_at_[u], floor_);
+  const double llm_ready = ready + cost.cpu_seconds;
+  const double finish =
+      cost.max_parallelism > 1 && cost.llm_partitions.size() > 1
+          ? pool_->ScheduleParallelStream(llm_ready, cost.llm_partitions,
+                                          cost.max_parallelism)
+          : pool_->ScheduleStream(llm_ready, cost.llm_seconds);
+  start_[u] = ready;
+  finish_[u] = finish;
+  makespan_ = std::max(makespan_, finish);
+  ++placed_;
+  if (sequential_) {
+    clock_ = finish;
+    return finish;
+  }
+  for (int v : dag_.children(u)) {
+    if (--pending_[v] > 0) continue;
+    double v_ready = base_;
+    for (int p : dag_.parents(v)) v_ready = std::max(v_ready, finish_[p]);
+    ready_.push({v_ready, v});
+  }
+  return finish;
+}
+
+void ListScheduler::SetFloor(double floor) {
+  floor_ = std::max(floor_, floor);
+  makespan_ = std::max(makespan_, floor_);
+}
+
+Status ListScheduler::status() const {
+  if (placed_ != dag_.size()) {
+    return Status::FailedPrecondition("cycle detected in plan DAG");
+  }
+  return Status::OK();
+}
 
 StatusOr<ScheduleResult> ScheduleDag(const Dag& dag,
                                      const std::vector<NodeCost>& costs,
@@ -15,77 +87,13 @@ StatusOr<ScheduleResult> ScheduleDag(const Dag& dag,
   if (costs.size() != dag.size()) {
     return Status::InvalidArgument("costs/DAG size mismatch");
   }
-  UNIFY_ASSIGN_OR_RETURN(std::vector<int> order, dag.TopologicalOrder());
-
-  // Finish time of node `u` whose LLM work becomes ready at `at`:
-  // partitioned nodes fan their morsels across servers, everything else
-  // runs as one sequential stream.
-  auto finish_of = [&](int u, double at) {
-    const NodeCost& c = costs[u];
-    if (c.max_parallelism > 1 && c.llm_partitions.size() > 1) {
-      return pool->ScheduleParallelStream(at, c.llm_partitions,
-                                          c.max_parallelism);
-    }
-    return pool->ScheduleStream(at, c.llm_seconds);
-  };
-
-  ScheduleResult result;
-  result.start.assign(dag.size(), base);
-  result.finish.assign(dag.size(), base);
-
-  if (sequential) {
-    double clock = base;
-    for (int u : order) {
-      double ready = clock;
-      for (int p : dag.parents(u)) ready = std::max(ready, result.finish[p]);
-      result.start[u] = ready;
-      result.finish[u] = finish_of(u, ready + costs[u].cpu_seconds);
-      clock = result.finish[u];
-    }
-    result.makespan = clock;
-    return result;
+  ListScheduler scheduler(dag, pool, sequential, base);
+  for (int u = scheduler.Next(); u >= 0; u = scheduler.Next()) {
+    scheduler.Place(u, costs[u]);
   }
-
-  // List scheduling: dispatch each node the moment its dependencies
-  // complete, earliest-ready first.
-  struct Ready {
-    double time;
-    int node;
-    bool operator>(const Ready& other) const {
-      if (time != other.time) return time > other.time;
-      return node > other.node;
-    }
-  };
-  std::vector<int> pending(dag.size(), 0);
-  std::priority_queue<Ready, std::vector<Ready>, std::greater<Ready>> queue;
-  for (size_t u = 0; u < dag.size(); ++u) {
-    pending[u] = static_cast<int>(dag.parents(static_cast<int>(u)).size());
-    if (pending[u] == 0) queue.push({base, static_cast<int>(u)});
-  }
-  double makespan = base;
-  size_t done = 0;
-  while (!queue.empty()) {
-    auto [ready, u] = queue.top();
-    queue.pop();
-    result.start[u] = ready;
-    result.finish[u] = finish_of(u, ready + costs[u].cpu_seconds);
-    makespan = std::max(makespan, result.finish[u]);
-    ++done;
-    for (int v : dag.children(u)) {
-      if (--pending[v] == 0) {
-        double v_ready = base;
-        for (int p : dag.parents(v)) {
-          v_ready = std::max(v_ready, result.finish[p]);
-        }
-        queue.push({v_ready, v});
-      }
-    }
-  }
-  if (done != dag.size()) {
-    return Status::FailedPrecondition("cycle detected in plan DAG");
-  }
-  result.makespan = makespan;
-  return result;
+  UNIFY_RETURN_IF_ERROR(scheduler.status());
+  return ScheduleResult{scheduler.start(), scheduler.finish(),
+                        scheduler.makespan()};
 }
 
 StatusOr<ScheduleResult> ScheduleDag(const Dag& dag,

@@ -1,6 +1,8 @@
 #ifndef UNIFY_EXEC_SCHEDULE_H_
 #define UNIFY_EXEC_SCHEDULE_H_
 
+#include <functional>
+#include <queue>
 #include <vector>
 
 #include "common/status.h"
@@ -18,11 +20,89 @@ struct NodeCost {
   double llm_seconds = 0;
   /// Morsel-driven intra-operator parallelism: when non-empty AND
   /// `max_parallelism` > 1, the node's LLM work is issued as these
-  /// independent partition streams (they should sum to `llm_seconds`)
+  /// independent morsel streams (they should sum to `llm_seconds`)
   /// instead of one sequential stream, with at most `max_parallelism`
-  /// partitions in flight at once. Empty = unpartitioned (the default).
+  /// morsels in flight at once. Empty = one stream (the default).
   std::vector<double> llm_partitions;
   int max_parallelism = 1;
+};
+
+/// The paper's "Parallel Topological Execution" (Section III-C) as an
+/// incremental list scheduler over the servers of a VirtualLlmPool. The
+/// caller alternates Next() and Place(): Next() pops the node to dispatch,
+/// the caller learns (predicts or measures) its NodeCost, and Place()
+/// lays that cost on the pool and releases the node's children. Both the
+/// optimizer's predicted makespan (ScheduleDag) and the executor's
+/// measured one (PlanExecutor::Run) are this one dispatch rule.
+///
+/// Parallel mode pops the earliest-ready node first (ties to the lower
+/// node id); a node becomes ready when its last parent finishes, its LLM
+/// stream then competing for servers. `sequential` is the paper's
+/// Unify–noLO ablation (Section VII-D): nodes run strictly one after
+/// another in topological order.
+///
+/// All times are absolute virtual seconds on the pool; every root becomes
+/// ready at `base`. The pool may be shared with other concurrent
+/// schedules (a UnifyService serving session), in which case intervals
+/// include cross-query queueing. `dag` and `pool` must outlive the
+/// scheduler, and `dag`'s shape must not change while it runs.
+class ListScheduler {
+ public:
+  ListScheduler(const Dag& dag, VirtualLlmPool* pool, bool sequential,
+                double base);
+
+  /// Pops the next node to dispatch; -1 when none is ready (every node
+  /// has been placed, or the rest sit on a cycle — see status()).
+  int Next();
+
+  /// Lays node `u` (just returned by Next) on the pool with `cost`: it
+  /// starts at its ready time (or the floor, if later) and its LLM work
+  /// runs as one stream or as its morsel streams. Records the interval,
+  /// releases `u`'s children and returns its finish time.
+  double Place(int u, const NodeCost& cost);
+
+  /// Barrier: no node dispatched from now on starts before `floor`
+  /// (absolute). Raises the makespan to at least `floor`. Ordering among
+  /// ready nodes is unaffected.
+  void SetFloor(double floor);
+
+  /// OK once every node has been placed; the cycle error otherwise.
+  Status status() const;
+
+  const std::vector<double>& start() const { return start_; }
+  const std::vector<double>& finish() const { return finish_; }
+  /// Completion time of everything placed so far (and of the floor).
+  double makespan() const { return makespan_; }
+
+ private:
+  struct Ready {
+    double time;
+    int node;
+    bool operator>(const Ready& other) const {
+      if (time != other.time) return time > other.time;
+      return node > other.node;
+    }
+  };
+
+  const Dag& dag_;
+  VirtualLlmPool* pool_;
+  const bool sequential_;
+  const double base_;
+  double floor_;
+  double makespan_;
+  /// Sequential mode: the topological order and the position in it, and
+  /// the finish time of the last node placed.
+  std::vector<int> order_;
+  size_t order_pos_ = 0;
+  double clock_;
+  /// Parallel mode: unfinished parents per node and the ready queue.
+  std::vector<int> pending_;
+  std::priority_queue<Ready, std::vector<Ready>, std::greater<Ready>> ready_;
+  /// Ready time of every popped node (before the floor).
+  std::vector<double> ready_at_;
+  std::vector<double> start_;
+  std::vector<double> finish_;
+  size_t placed_ = 0;
 };
 
 /// A computed execution timeline. All times are absolute virtual seconds
@@ -35,17 +115,8 @@ struct ScheduleResult {
   double makespan = 0;
 };
 
-/// Computes the virtual-time timeline of executing `dag` with per-node
-/// `costs` on the LLM servers of `pool`, with every root node becoming
-/// ready at absolute time `base`. The pool may be shared with other
-/// concurrent schedules (a UnifyService serving session), in which case
-/// the returned intervals include cross-query queueing for servers.
-///
-/// `sequential` = the paper's Unify–noLO ablation (Section VII-D): nodes
-/// run strictly one after another in topological order. Otherwise nodes
-/// are dispatched as soon as their dependencies finish (the paper's
-/// "Parallel Topological Execution", Section III-C), with LLM streams
-/// competing for servers.
+/// Runs the ListScheduler over `dag` with known per-node `costs` on
+/// `pool`, every root becoming ready at absolute time `base`.
 StatusOr<ScheduleResult> ScheduleDag(const Dag& dag,
                                      const std::vector<NodeCost>& costs,
                                      VirtualLlmPool* pool, bool sequential,

@@ -239,6 +239,57 @@ TEST(ScheduleDagTest, NonzeroBaseOnSharedPoolInterleavesQueries) {
   EXPECT_NEAR(p->makespan, 30.0, 1e-9);
 }
 
+TEST(ListSchedulerTest, FloorSetMidScheduleDelaysOnlyUndispatchedNodes) {
+  // Diamond 0 -> {1, 2} -> 3, every node a 10s stream on 4 servers.
+  Dag dag = Diamond();
+  VirtualLlmPool pool(4);
+  ListScheduler scheduler(dag, &pool, /*sequential=*/false, /*base=*/0);
+  NodeCost cost;
+  cost.llm_seconds = 10;
+
+  ASSERT_EQ(scheduler.Next(), 0);
+  EXPECT_EQ(scheduler.Place(0, cost), 10);
+  // Nodes 1 and 2 are both ready at 10; the lower id goes first.
+  ASSERT_EQ(scheduler.Next(), 1);
+  EXPECT_EQ(scheduler.Place(1, cost), 20);
+
+  // A barrier at 25 (a replan pause after node 1) raises the makespan at
+  // once but leaves what already ran where it was.
+  scheduler.SetFloor(25);
+  EXPECT_EQ(scheduler.makespan(), 25);
+  EXPECT_EQ(scheduler.start()[1], 10);
+  EXPECT_EQ(scheduler.finish()[1], 20);
+
+  // Node 2 was ready at 10 but is dispatched after the floor: it starts
+  // at 25. Node 3 then waits for its later parent.
+  ASSERT_EQ(scheduler.Next(), 2);
+  EXPECT_EQ(scheduler.Place(2, cost), 35);
+  EXPECT_EQ(scheduler.start()[2], 25);
+  ASSERT_EQ(scheduler.Next(), 3);
+  EXPECT_EQ(scheduler.Place(3, cost), 45);
+  EXPECT_EQ(scheduler.start()[3], 35);
+
+  EXPECT_EQ(scheduler.Next(), -1);
+  EXPECT_TRUE(scheduler.status().ok());
+  EXPECT_EQ(scheduler.start()[0], 0);
+  EXPECT_EQ(scheduler.finish()[0], 10);
+  EXPECT_EQ(scheduler.makespan(), 45);
+}
+
+TEST(ListSchedulerTest, CycleIsReportedInBothModes) {
+  Dag dag;
+  dag.AddNode();
+  dag.AddNode();
+  ASSERT_TRUE(dag.AddEdge(0, 1).ok());
+  ASSERT_TRUE(dag.AddEdge(1, 0).ok());
+  for (bool sequential : {false, true}) {
+    VirtualLlmPool pool(2);
+    ListScheduler scheduler(dag, &pool, sequential, /*base=*/0);
+    EXPECT_EQ(scheduler.Next(), -1);
+    EXPECT_FALSE(scheduler.status().ok());
+  }
+}
+
 TEST(ScheduleDagTest, SizeMismatchRejected) {
   Dag dag = Diamond();
   std::vector<NodeCost> costs(2);

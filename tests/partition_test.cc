@@ -40,30 +40,26 @@ TEST(PartitionPlanningTest, PlanPartitionCountRespectsBatchFloor) {
   EXPECT_EQ(PlanPartitionCount(1000, 16, 8), 8);
 }
 
-TEST(PartitionPlanningTest, PartitionDocsIsBatchAlignedAndOrderStable) {
-  DocList docs;
-  for (uint64_t i = 0; i < 100; ++i) docs.push_back(i * 3);
+TEST(PartitionPlanningTest, GroupBatchSecondsIsBatchAlignedAndOrderStable) {
+  // Seven batches whose seconds are distinct powers of two: every morsel's
+  // sum names exactly the batches it covers.
+  std::vector<double> batches;
+  for (int b = 0; b < 7; ++b) batches.push_back(static_cast<double>(1 << b));
 
-  auto chunks = PartitionDocs(docs, 16, 4);
-  ASSERT_EQ(chunks.size(), 4u);
-  DocList concat;
-  for (const auto& chunk : chunks) {
-    EXPECT_FALSE(chunk.empty());
-    // Every chunk boundary is a batch boundary, so batched LLM helpers
-    // issue exactly the same calls over the chunks as over the whole list.
-    EXPECT_EQ(concat.size() % 16, 0u);
-    concat.insert(concat.end(), chunk.begin(), chunk.end());
-  }
-  EXPECT_EQ(concat, docs);
+  // Morsel i covers batches [7i/4, 7(i+1)/4): {0}, {1,2}, {3,4}, {5,6} —
+  // contiguous, in order, non-empty, together covering every batch once.
+  EXPECT_EQ(GroupBatchSeconds(batches, 4),
+            (std::vector<double>{1, 2 + 4, 8 + 16, 32 + 64}));
 }
 
-TEST(PartitionPlanningTest, PartitionDocsDegenerateCases) {
-  EXPECT_EQ(PartitionDocs({}, 16, 4).size(), 1u);
-  DocList small{1, 2, 3};
-  auto one = PartitionDocs(small, 16, 4);  // one batch -> one chunk
-  ASSERT_EQ(one.size(), 1u);
-  EXPECT_EQ(one[0], small);
-  EXPECT_EQ(PartitionDocs(small, 1, 1).size(), 1u);
+TEST(PartitionPlanningTest, GroupBatchSecondsDegenerateCases) {
+  EXPECT_EQ(GroupBatchSeconds({}, 4), (std::vector<double>{0}));
+  // One batch -> one stream.
+  EXPECT_EQ(GroupBatchSeconds({2.5}, 4), (std::vector<double>{2.5}));
+  // Knob off -> one stream, summed in batch order.
+  EXPECT_EQ(GroupBatchSeconds({1, 2, 3}, 1), (std::vector<double>{6}));
+  // Never more morsels than batches.
+  EXPECT_EQ(GroupBatchSeconds({1, 2, 3}, 8), (std::vector<double>{1, 2, 3}));
 }
 
 // ---------------------------------------------------------------------------
@@ -138,7 +134,7 @@ TEST_F(PartitionSystemTest, AnswersByteIdenticalAcrossParallelism) {
       // not depend on the partitioning.
       EXPECT_EQ(p.answer.ToString(), base.answer.ToString())
           << qc.text << " @ parallelism " << parallelism;
-      EXPECT_DOUBLE_EQ(p.exec_dollars, base.exec_dollars) << qc.text;
+      EXPECT_EQ(p.exec_dollars, base.exec_dollars) << qc.text;
       EXPECT_DOUBLE_EQ(p.metrics.counters[telemetry::kMetricLlmCalls],
                        base.metrics.counters[telemetry::kMetricLlmCalls])
           << qc.text;
