@@ -28,10 +28,12 @@ std::vector<embedding::Vec> CorpusVectors(size_t n) {
   return vecs;
 }
 
-void BM_HnswBuild(benchmark::State& state) {
+void BuildLoop(benchmark::State& state,
+               const index::HnswIndex::Options& options) {
   auto vecs = CorpusVectors(static_cast<size_t>(state.range(0)));
   for (auto _ : state) {
-    index::HnswIndex index(index::HnswIndex::Options{});
+    index::HnswIndex index(options);
+    index.Reserve(vecs.size());
     for (size_t i = 0; i < vecs.size(); ++i) {
       benchmark::DoNotOptimize(index.Add(i, vecs[i]));
     }
@@ -39,7 +41,20 @@ void BM_HnswBuild(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() *
                           static_cast<int64_t>(vecs.size()));
 }
+
+void BM_HnswBuild(benchmark::State& state) {
+  BuildLoop(state, index::HnswIndex::Options{});
+}
 BENCHMARK(BM_HnswBuild)->Arg(1000)->Arg(3898)->Unit(benchmark::kMillisecond);
+
+// The document index at the settings UnifySystem::Setup() builds it with.
+void BM_HnswBuildSystem(benchmark::State& state) {
+  index::HnswIndex::Options options;
+  options.M = 16;
+  options.ef_construction = 120;
+  BuildLoop(state, options);
+}
+BENCHMARK(BM_HnswBuildSystem)->Arg(3898)->Unit(benchmark::kMillisecond);
 
 void BM_HnswSearch(benchmark::State& state) {
   auto vecs = CorpusVectors(3898);
@@ -88,6 +103,23 @@ void BM_Embed(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_Embed);
+
+// The batch path Setup() embeds a corpus with: one EmbedAll over all
+// documents. Items are texts, so items/s compares directly with BM_Embed.
+void BM_EmbedAll(benchmark::State& state) {
+  auto profile = corpus::SportsProfile();
+  profile.doc_count = static_cast<size_t>(state.range(0));
+  auto corp = corpus::GenerateCorpus(profile, 7);
+  auto spec = corpus::BuildEmbeddingSpec(profile);
+  embedding::TopicEmbedder embedder(embedding::TopicEmbedder::Options{},
+                                    spec.topic_tokens, spec.aliases);
+  std::vector<std::string_view> texts;
+  for (const auto& doc : corp.docs()) texts.push_back(doc.text);
+  for (auto _ : state) benchmark::DoNotOptimize(embedder.EmbedAll(texts));
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(texts.size()));
+}
+BENCHMARK(BM_EmbedAll)->Arg(3898)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace unify

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Builds the concurrency-sensitive tests (shared virtual pool, serving
-# layer, executor, fault-injected resilience path) under a sanitizer and
-# runs them. Modes:
+# layer, executor, fault-injected resilience path, and the HNSW index's
+# raw-row distances, per-thread search scratch and concurrent searches)
+# under a sanitizer and runs them. Modes:
 #
 #   $ scripts/check.sh [repo-root]          # ThreadSanitizer (data races)
 #   $ scripts/check.sh --asan [repo-root]   # AddressSanitizer + UBSAN
@@ -54,7 +55,7 @@ fi
 
 TESTS=(virtual_pool_test service_test fair_scheduler_test executor_test
        partition_test flight_recorder_test resilience_test cache_test
-       reoptimize_test http_endpoint_test)
+       reoptimize_test http_endpoint_test index_test embedding_test)
 
 # Probe: can this toolchain produce a binary under this sanitizer at all?
 probe="$(mktemp -d)"

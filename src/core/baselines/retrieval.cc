@@ -19,12 +19,18 @@ SentenceRetriever::SentenceRetriever(const corpus::Corpus* corpus,
       }()) {}
 
 Status SentenceRetriever::Build() {
+  std::vector<std::string> sentences;
   for (const auto& doc : corpus_->docs()) {
-    for (const auto& sentence : text::SplitSentences(doc.text)) {
-      uint64_t sid = sentence_doc_.size();
+    for (auto& sentence : text::SplitSentences(doc.text)) {
+      sentences.push_back(std::move(sentence));
       sentence_doc_.push_back(doc.id);
-      UNIFY_RETURN_IF_ERROR(index_.Add(sid, embedder_->Embed(sentence)));
     }
+  }
+  auto vecs = embedder_->EmbedAll(
+      std::vector<std::string_view>(sentences.begin(), sentences.end()));
+  index_.Reserve(vecs.size());
+  for (size_t sid = 0; sid < vecs.size(); ++sid) {
+    UNIFY_RETURN_IF_ERROR(index_.Add(sid, vecs[sid]));
   }
   return Status::OK();
 }

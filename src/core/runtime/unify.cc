@@ -60,17 +60,22 @@ Status UnifySystem::Setup() {
   eopts.seed = options_.seed ^ 0xe1be;
   doc_embedder_ = std::make_unique<embedding::TopicEmbedder>(
       eopts, spec.topic_tokens, spec.aliases);
-  doc_vecs_.clear();
-  doc_vecs_.reserve(corpus_->size());
+  // Embed the whole corpus first (EmbedAll's token memo is freed before
+  // the build starts), then insert in corpus order.
+  std::vector<std::string_view> texts;
+  texts.reserve(corpus_->size());
+  for (const auto& doc : corpus_->docs()) texts.push_back(doc.text);
+  doc_vecs_ = doc_embedder_->EmbedAll(texts);
   index::HnswIndex::Options hopts;
   hopts.M = 16;
   hopts.ef_construction = 120;
   hopts.ef_search = 96;
   hopts.seed = options_.seed ^ 0x1d8;
   doc_index_ = std::make_unique<index::HnswIndex>(hopts);
-  for (const auto& doc : corpus_->docs()) {
-    doc_vecs_.push_back(doc_embedder_->Embed(doc.text));
-    UNIFY_RETURN_IF_ERROR(doc_index_->Add(doc.id, doc_vecs_.back()));
+  doc_index_->Reserve(doc_vecs_.size());
+  for (size_t i = 0; i < doc_vecs_.size(); ++i) {
+    UNIFY_RETURN_IF_ERROR(
+        doc_index_->Add(corpus_->docs()[i].id, doc_vecs_[i]));
   }
 
   // --- Semantic cardinality estimation (Section VI-B) + numeric

@@ -68,9 +68,18 @@ class TopicEmbedder : public Embedder {
                 const AliasMap& aliases = {});
 
   Vec Embed(std::string_view text) const override;
+  /// Computes each distinct token's direction once per batch instead of at
+  /// every occurrence; same floats as Embed.
+  std::vector<Vec> EmbedAll(
+      const std::vector<std::string_view>& texts) const override;
   size_t dim() const override { return options_.dim; }
 
  private:
+  /// The embedding arithmetic Embed and EmbedAll share. `direction(tok)`
+  /// returns a pointer to the `dim` floats of base_.TokenDirection(tok).
+  template <typename Direction>
+  Vec EmbedWith(std::string_view text, Direction&& direction) const;
+
   Options options_;
   HashedEmbedder base_;
   std::unordered_map<std::string, float> boosts_;

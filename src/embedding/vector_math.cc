@@ -27,12 +27,7 @@ void NormalizeInPlace(Vec& v) {
 
 float L2Distance(const Vec& a, const Vec& b) {
   UNIFY_CHECK(a.size() == b.size());
-  float s = 0;
-  for (size_t i = 0; i < a.size(); ++i) {
-    float d = a[i] - b[i];
-    s += d * d;
-  }
-  return std::sqrt(s);
+  return L2DistanceRaw(a.data(), b.data(), a.size());
 }
 
 float CosineSimilarity(const Vec& a, const Vec& b) {

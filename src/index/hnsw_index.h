@@ -44,7 +44,14 @@ class HnswIndex : public VectorIndex {
                                    size_t k) const override;
   size_t size() const override { return nodes_.size(); }
 
-  /// Search with an explicit beam width (recall/latency knob).
+  /// Capacity hint: sizes the vector array and node table for `n` items
+  /// once, so a bulk build never regrows them (and never holds two copies
+  /// of the vectors while doing so).
+  void Reserve(size_t n);
+
+  /// Search with an explicit beam width (recall/latency knob). Safe to call
+  /// from several threads at once. A non-empty index aborts on a query of
+  /// the wrong dimension.
   std::vector<SearchResult> SearchEf(const embedding::Vec& query, size_t k,
                                      size_t ef) const;
 
@@ -57,7 +64,6 @@ class HnswIndex : public VectorIndex {
  private:
   struct Node {
     uint64_t id;
-    embedding::Vec vec;
     /// neighbors[l] = internal indices adjacent at layer l (l <= level).
     std::vector<std::vector<uint32_t>> neighbors;
   };
@@ -68,29 +74,28 @@ class HnswIndex : public VectorIndex {
     uint32_t idx;
   };
 
-  float Dist(const embedding::Vec& a, const embedding::Vec& b) const {
-    return embedding::L2Distance(a, b);
+  const float* Row(uint32_t idx) const { return &vecs_[idx * dim_]; }
+
+  float Dist(const float* a, uint32_t b) const {
+    return embedding::L2DistanceRaw(a, Row(b), dim_);
   }
 
   /// Draws the insertion level: floor(-ln(U) * (1/ln(M))).
   int RandomLevel();
 
   /// Greedy hill-climb toward `query` on `layer`, starting at `start`.
-  uint32_t GreedyClosest(const embedding::Vec& query, uint32_t start,
-                         int layer) const;
+  uint32_t GreedyClosest(const float* query, uint32_t start, int layer) const;
 
   /// Best-first beam search on `layer`; returns up to `ef` closest nodes as
   /// candidates sorted ascending by distance.
-  std::vector<Candidate> SearchLayer(const embedding::Vec& query,
-                                     uint32_t entry, size_t ef,
-                                     int layer) const;
+  std::vector<Candidate> SearchLayer(const float* query, uint32_t entry,
+                                     size_t ef, int layer) const;
 
   /// Selects up to `m` neighbors from `candidates` (ascending by distance).
   /// With `select_heuristic`, a candidate is kept only if it is closer to
   /// the base point than to every already-kept neighbor, which preserves
   /// graph navigability in clustered data.
-  std::vector<uint32_t> SelectNeighbors(const embedding::Vec& base,
-                                        std::vector<Candidate> candidates,
+  std::vector<uint32_t> SelectNeighbors(std::vector<Candidate> candidates,
                                         size_t m) const;
 
   /// Caps `node`'s adjacency at `layer` to the allowed degree.
@@ -104,6 +109,10 @@ class HnswIndex : public VectorIndex {
   double level_mult_;
   Rng rng_;
   std::vector<Node> nodes_;
+  /// Vector dimension, fixed by the first Add (0 while empty).
+  size_t dim_ = 0;
+  /// All vectors, row-major: node i's vector is [i * dim_, (i + 1) * dim_).
+  std::vector<float> vecs_;
   std::unordered_map<uint64_t, uint32_t> id_to_idx_;
   int max_layer_ = -1;
   uint32_t entry_point_ = 0;

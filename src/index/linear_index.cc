@@ -5,6 +5,7 @@
 namespace unify::index {
 
 Status LinearIndex::Add(uint64_t id, const embedding::Vec& v) {
+  if (v.empty()) return Status::InvalidArgument("empty vector");
   if (!vectors_.empty() && v.size() != vectors_.front().size()) {
     return Status::InvalidArgument("dimension mismatch");
   }

@@ -27,7 +27,8 @@ class VectorIndex {
  public:
   virtual ~VectorIndex() = default;
 
-  /// Adds a vector under `id`. Ids must be unique.
+  /// Adds a vector under `id`. Ids must be unique; vectors must be
+  /// non-empty and all of one dimension (InvalidArgument otherwise).
   virtual Status Add(uint64_t id, const embedding::Vec& v) = 0;
 
   /// Returns up to `k` nearest items to `query`, sorted by ascending

@@ -1,9 +1,13 @@
 #include <cmath>
+#include <set>
+#include <string>
 
 #include <gtest/gtest.h>
 
+#include "common/rng.h"
 #include "embedding/hashed_embedder.h"
 #include "embedding/vector_math.h"
+#include "text/tokenizer.h"
 
 namespace unify::embedding {
 namespace {
@@ -123,6 +127,57 @@ TEST(TopicEmbedderTest, GroupAliasCreatesSharedComponent) {
   Vec swim_doc = e.Embed("a long swimming question");
   EXPECT_GT(CosineSimilarity(group_query, tennis_doc),
             CosineSimilarity(group_query, swim_doc) + 0.1f);
+}
+
+TEST(EmbedderTest, DefaultEmbedAllLoopsOverEmbed) {
+  HashedEmbedder e(32, 7);
+  std::vector<std::string_view> texts = {"tennis serve", "", "golf swing"};
+  auto all = e.EmbedAll(texts);
+  ASSERT_EQ(all.size(), texts.size());
+  for (size_t i = 0; i < texts.size(); ++i) {
+    EXPECT_EQ(all[i], e.Embed(texts[i]));
+  }
+  EXPECT_TRUE(e.EmbedAll({}).empty());
+}
+
+// EmbedAll's memo has 4,096 direct-mapped slots. A vocabulary well above
+// that forces slot collisions and overwrites; every vector must still match
+// per-text Embed bit for bit, including alias expansion and noise.
+TEST(TopicEmbedderTest, EmbedAllMatchesEmbed) {
+  Rng rng(4096);
+  std::vector<std::string> vocab;
+  for (int i = 0; i < 6000; ++i) {
+    std::string word = "zq";
+    for (int c = 0; c < 5; ++c) {
+      word += static_cast<char>('a' + rng.NextUint64(26));
+    }
+    vocab.push_back(word);
+  }
+  std::vector<std::string> texts;
+  for (int t = 0; t < 3000; ++t) {
+    std::string text = (t % 5 == 0) ? "wimbledon tennis final" : "";
+    for (int w = 0; w < 8; ++w) {
+      text += " " + vocab[rng.NextUint64(vocab.size())];
+    }
+    texts.push_back(text);
+  }
+  texts.push_back("");  // no content tokens: the zero vector
+
+  std::set<std::string> distinct;
+  for (const auto& text : texts) {
+    for (auto& tok : text::StemmedContentTokens(text)) distinct.insert(tok);
+  }
+  ASSERT_GT(distinct.size(), 4096u);
+
+  TopicEmbedder::Options options;
+  options.noise_scale = 0.15f;
+  TopicEmbedder e(options, {"tennis"}, {{"wimbledon", {"tennis", "grass"}}});
+  auto all = e.EmbedAll(
+      std::vector<std::string_view>(texts.begin(), texts.end()));
+  ASSERT_EQ(all.size(), texts.size());
+  for (size_t i = 0; i < texts.size(); ++i) {
+    ASSERT_EQ(all[i], e.Embed(texts[i])) << "text " << i << ": " << texts[i];
+  }
 }
 
 }  // namespace

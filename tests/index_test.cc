@@ -1,4 +1,7 @@
+#include <bit>
+#include <memory>
 #include <set>
+#include <thread>
 
 #include <gtest/gtest.h>
 
@@ -57,6 +60,16 @@ TEST(LinearIndexTest, RejectsDuplicatesAndDimensionMismatch) {
   EXPECT_EQ(index.Add(1, {1, 1, 1}).code(), StatusCode::kInvalidArgument);
 }
 
+// An empty first vector would fix the dimension at 0 and make every later
+// real vector a "dimension mismatch"; it is rejected instead.
+TEST(LinearIndexTest, RejectsEmptyVector) {
+  LinearIndex index;
+  EXPECT_EQ(index.Add(0, {}).code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(index.size(), 0u);
+  ASSERT_TRUE(index.Add(0, {1, 0}).ok());
+  EXPECT_EQ(index.Add(1, {}).code(), StatusCode::kInvalidArgument);
+}
+
 TEST(LinearIndexTest, KLargerThanSize) {
   LinearIndex index;
   ASSERT_TRUE(index.Add(5, {1, 2}).ok());
@@ -79,6 +92,24 @@ TEST(HnswIndexTest, RejectsDuplicatesAndDimensionMismatch) {
   ASSERT_TRUE(index.Add(0, {0, 0}).ok());
   EXPECT_EQ(index.Add(0, {1, 1}).code(), StatusCode::kAlreadyExists);
   EXPECT_EQ(index.Add(1, {1, 1, 1}).code(), StatusCode::kInvalidArgument);
+}
+
+TEST(HnswIndexTest, RejectsEmptyVector) {
+  HnswIndex index(HnswIndex::Options{});
+  EXPECT_EQ(index.Add(0, {}).code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(index.size(), 0u);
+  ASSERT_TRUE(index.Add(0, {1, 0}).ok());
+  ASSERT_TRUE(index.Add(1, {0, 1}).ok());
+  EXPECT_EQ(index.Add(2, {}).code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(index.size(), 2u);
+}
+
+TEST(HnswIndexTest, WrongDimensionQueryAborts) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  HnswIndex index(HnswIndex::Options{});
+  EXPECT_TRUE(index.SearchEf({1, 0, 0}, 1, 8).empty());  // empty index
+  ASSERT_TRUE(index.Add(0, {1, 0}).ok());
+  EXPECT_DEATH(index.SearchEf({1, 0, 0}, 1, 8), "dimension mismatch");
 }
 
 TEST(HnswIndexTest, DegreesAreBounded) {
@@ -197,6 +228,77 @@ TEST(HnswIndexTest, DeterministicForSeed) {
       EXPECT_EQ(ha[i].id, hb[i].id);
       EXPECT_EQ(ha[i].distance, hb[i].distance);
     }
+  }
+}
+
+/// Builds the GraphPinned fixture: 2,000 unit vectors of dimension 64 at
+/// the system's index settings.
+std::unique_ptr<HnswIndex> PinnedIndex() {
+  HnswIndex::Options options;
+  options.M = 16;
+  options.ef_construction = 120;
+  options.seed = 2024;
+  auto index = std::make_unique<HnswIndex>(options);
+  auto vecs = RandomVectors(2000, 64, 1603);
+  index->Reserve(vecs.size());
+  for (size_t i = 0; i < vecs.size(); ++i) {
+    EXPECT_TRUE(index->Add(i, vecs[i]).ok());
+  }
+  return index;
+}
+
+/// 64-bit fingerprint of the ids and distance bit patterns `index`
+/// returns for `queries`.
+uint64_t SearchFingerprint(const HnswIndex& index,
+                           const std::vector<embedding::Vec>& queries) {
+  uint64_t fp = 0;
+  for (const auto& q : queries) {
+    for (const auto& hit : index.SearchEf(q, 10, 64)) {
+      fp = HashCombine(fp, hit.id);
+      fp = HashCombine(fp, std::bit_cast<uint32_t>(hit.distance));
+    }
+  }
+  return fp;
+}
+
+// The graph and every search answer are pinned bit for bit: a change to
+// the distance arithmetic, the neighbour selection or the insertion order
+// that perturbs a single edge or a single float changes these values.
+TEST(HnswIndexTest, GraphPinned) {
+  auto index = PinnedIndex();
+  EXPECT_EQ(index->EdgeCount(), 54205u);
+  EXPECT_EQ(index->max_layer(), 3);
+  EXPECT_EQ(SearchFingerprint(*index, RandomVectors(50, 64, 1976)),
+            10473721915805562268ull);
+}
+
+// Searches share nothing but the per-thread scratch: concurrent callers
+// must each get the single-threaded answers.
+TEST(HnswIndexTest, ConcurrentSearchMatchesSerial) {
+  auto index = PinnedIndex();
+  auto queries = RandomVectors(50, 64, 1976);
+  std::vector<std::vector<SearchResult>> serial;
+  for (const auto& q : queries) serial.push_back(index->SearchEf(q, 10, 64));
+
+  constexpr int kThreads = 4;
+  std::vector<std::vector<std::vector<SearchResult>>> got(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      // Each thread walks the queries from a different offset, several
+      // times, so the searches overlap.
+      for (int rep = 0; rep < 3; ++rep) {
+        got[t].assign(queries.size(), {});
+        for (size_t j = 0; j < queries.size(); ++j) {
+          size_t i = (j + 13 * t) % queries.size();
+          got[t][i] = index->SearchEf(queries[i], 10, 64);
+        }
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(got[t], serial) << "thread " << t;
   }
 }
 
