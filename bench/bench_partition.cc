@@ -1,6 +1,6 @@
-// Morsel-driven intra-operator parallelism benchmark: sweeps the
-// max_intra_op_parallelism knob over {1, 2, 4, 8} on the paper's 4-server
-// virtual pool, at 1 client (the standalone latency view) and 16 clients
+// Morsel-driven intra-operator parallelism benchmark: sweeps
+// UnifyOptions::exec.max_intra_op_parallelism over {1, 2, 4, 8} (one
+// system per setting) on the paper's 4-server virtual pool, at 1 client (the standalone latency view) and 16 clients
 // (the shared-pool serving view).
 //
 // The 1-client sweep runs an LLM-filter-heavy query (a semantic predicate
@@ -18,6 +18,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -46,10 +47,7 @@ struct SoloResult {
 
 SoloResult RunSolo(const core::UnifySystem& system, const std::string& query,
                    int parallelism) {
-  core::QueryRequest request;
-  request.text = query;
-  request.overrides.max_intra_op_parallelism = parallelism;
-  core::QueryResult result = system.Answer(request);
+  core::QueryResult result = system.Answer(query);
   SoloResult solo;
   solo.parallelism = parallelism;
   if (!result.status.ok()) {
@@ -78,7 +76,6 @@ ServedResult RunServed(const core::UnifySystem& system,
   core::UnifyService::Options sopts;
   sopts.num_workers = clients;
   sopts.max_queue_depth = 2 * clients + 8;
-  sopts.default_max_intra_op_parallelism = parallelism;
   core::UnifyService service(&system, sopts);
 
   const int per_client = std::max(1, total_queries / clients);
@@ -124,17 +121,23 @@ int Run() {
   }
   BenchDataset ds = MakeDataset(profile, scale);
 
-  core::UnifyOptions uopts;
-  uopts.collect_trace = false;
-  // Frozen cost model: every parallelism level must plan identically.
-  uopts.cost_feedback = false;
-  core::UnifySystem system(ds.corpus.get(), ds.llm.get(), uopts);
-  if (auto st = system.Setup(); !st.ok()) {
-    std::printf("setup failed: %s\n", st.ToString().c_str());
-    return 1;
-  }
-
+  // Parallelism is a system setting: one system per level, each serving
+  // both sweeps. With the cost model frozen and plan choice independent of
+  // parallelism, every level plans identically.
   const std::vector<int> sweep = {1, 2, 4, 8};
+  std::vector<std::unique_ptr<core::UnifySystem>> systems;
+  for (int parallelism : sweep) {
+    core::UnifyOptions uopts;
+    uopts.collect_trace = false;
+    uopts.cost_feedback = false;
+    uopts.exec.max_intra_op_parallelism = parallelism;
+    systems.push_back(std::make_unique<core::UnifySystem>(
+        ds.corpus.get(), ds.llm.get(), uopts));
+    if (auto st = systems.back()->Setup(); !st.ok()) {
+      std::printf("setup failed: %s\n", st.ToString().c_str());
+      return 1;
+    }
+  }
   const std::string solo_query = SemanticCountQuery();
 
   // --- 1 client: standalone latency of an LLM-filter-heavy query ---
@@ -143,8 +146,8 @@ int Run() {
   std::printf("%12s %12s %12s %10s\n", "parallelism", "exec-virt",
               "predicted", "speedup");
   std::vector<SoloResult> solos;
-  for (int parallelism : sweep) {
-    solos.push_back(RunSolo(system, solo_query, parallelism));
+  for (size_t i = 0; i < sweep.size(); ++i) {
+    solos.push_back(RunSolo(*systems[i], solo_query, sweep[i]));
   }
   bool answers_identical = true;
   for (const auto& solo : solos) {
@@ -179,9 +182,9 @@ int Run() {
   std::printf("%12s %8s %12s %12s\n", "parallelism", "queries", "virt-span",
               "virt-q/min");
   std::vector<ServedResult> served_levels;
-  for (int parallelism : sweep) {
+  for (size_t i = 0; i < sweep.size(); ++i) {
     ServedResult served =
-        RunServed(system, queries, /*clients=*/16, parallelism,
+        RunServed(*systems[i], queries, /*clients=*/16, sweep[i],
                   total_queries);
     std::printf("%12d %8d %11.0fs %12.2f\n", served.parallelism,
                 served.queries, served.virtual_makespan,
@@ -193,7 +196,7 @@ int Run() {
   out << "{\n  \"benchmark\": \"partition\",\n";
   out << "  \"dataset\": \"" << ds.name << "\",\n";
   out << "  \"docs\": " << ds.corpus->size() << ",\n";
-  out << "  \"num_servers\": " << system.options().exec.num_servers
+  out << "  \"num_servers\": " << systems.front()->options().exec.num_servers
       << ",\n";
   out << "  \"answers_identical\": "
       << (answers_identical ? "true" : "false") << ",\n";

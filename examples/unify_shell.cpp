@@ -31,9 +31,9 @@
 #include <string>
 #include <vector>
 
-#include "common/accuracy.h"
 #include "common/metrics.h"
 #include "common/string_util.h"
+#include "core/runtime/plan_analysis.h"
 #include "unify/api.h"
 #include "corpus/dataset_profile.h"
 #include "llm/sim_llm.h"
@@ -129,7 +129,7 @@ int main(int argc, char** argv) {
                   "Chrome JSON\n");
       std::printf("  \\prom             Prometheus text exposition of the "
                   "metrics registry\n");
-      std::printf("  \\accuracy         prediction-accuracy ledger "
+      std::printf("  \\accuracy         prediction-accuracy report "
                   "(q-errors, cost calibration, replans)\n");
       std::printf("  \\replan           last query's mid-query "
                   "re-optimizations (docs/replanning.md)\n");
@@ -219,7 +219,9 @@ int main(int argc, char** argv) {
       continue;
     }
     if (input == "\\accuracy") {
-      std::printf("%s", AccuracyLedger::Global().ToText().c_str());
+      std::printf("%s", core::AccuracyReport(
+                            MetricsRegistry::Global().Snapshot())
+                            .c_str());
       continue;
     }
     if (input == "\\tenants") {
@@ -275,13 +277,14 @@ int main(int argc, char** argv) {
                     rec.decision_seconds, rec.decision_dollars, rec.est_bias,
                     rec.suffix_nodes.size(), rec.relowered_nodes.size());
       }
-      const auto ledger = AccuracyLedger::Global().snapshot();
+      const core::ReplanTotals session =
+          core::ReplanTotalsOf(MetricsRegistry::Global().Snapshot());
       std::printf("  session: %lld considered, %lld adopted, %lld improved, "
                   "%lld not improved\n",
-                  static_cast<long long>(ledger.replan_considered),
-                  static_cast<long long>(ledger.replan_triggered),
-                  static_cast<long long>(ledger.replan_improved),
-                  static_cast<long long>(ledger.replan_not_improved));
+                  static_cast<long long>(session.considered),
+                  static_cast<long long>(session.adopted),
+                  static_cast<long long>(session.improved),
+                  static_cast<long long>(session.not_improved()));
       continue;
     }
     if (input == "\\explain analyze") {

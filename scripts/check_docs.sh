@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Documentation lint, wired into ctest as `check_docs`:
 #   1. every telemetry name in src/common/telemetry_names.h (span, metric,
-#      accuracy-ledger and serve-event names) is documented in the guide
+#      prediction-accuracy and serve-event names) is documented in the guide
 #      that owns its family, per the TELEMETRY_GUIDES table below;
 #   2. relative Markdown links in README.md and docs/*.md resolve;
 #   3. every `src/...` path mentioned in the docs exists (supports

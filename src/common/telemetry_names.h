@@ -220,12 +220,13 @@ inline constexpr char kMetricTenantCacheCoalesced[] =
 /// Summary series: the tenant's total (virtual) query latency.
 inline constexpr char kMetricTenantLatency[] = "tenant.latency_seconds";
 
-// Prediction accuracy (AccuracyLedger in common/accuracy.h mirrors these
-// into the metrics registry; see "Prediction accuracy" in
-// docs/observability.md).
+// Prediction accuracy (AccuracyReport in core/runtime/plan_analysis.h
+// renders these for `/accuracy` and the shell's `\accuracy`; see
+// "Prediction accuracy" in docs/observability.md).
 /// Histogram family: SCE q-error per estimation method — the full name
-/// appends "." + SceMethodName (e.g. "sce.qerror.importance"). Observed
-/// against the simulated corpus's latent ground truth at estimation time.
+/// appends "." + SceMethodName (e.g. "sce.qerror.Unify" for the
+/// importance estimator). Observed against the simulated corpus's latent
+/// ground truth at estimation time.
 inline constexpr char kMetricSceQError[] = "sce.qerror";
 /// Histogram: per-executed-node q-error of the optimizer's output-
 /// cardinality estimate vs the cardinality execution actually produced.

@@ -137,10 +137,9 @@ class PhysicalOptimizer {
                                     Trace* trace = nullptr,
                                     SpanId parent = kNoSpan) const;
 
-  /// Per-query variant: same machinery under call-specific options (how
-  /// QueryRequest's objective / physical-mode overrides reach the
-  /// optimizer without mutating shared state). `opts` should be derived
-  /// from options() so corpus statistics stay intact.
+  /// Variant under call-specific options, without mutating shared state
+  /// (harnesses that drive the optimizer directly). `opts` should be
+  /// derived from options() so corpus statistics stay intact.
   StatusOr<PhysicalPlan> SelectBest(const std::vector<LogicalPlan>& plans,
                                     const OptimizerOptions& opts,
                                     Trace* trace = nullptr,

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <mutex>
 #include <optional>
 #include <sstream>
 
@@ -79,17 +78,14 @@ StatusOr<exec::NodeCost> PlanExecutor::RunNode(ExecutionState& state,
     node_span.AddAttr("output_var", node.logical.output_var);
   }
   std::vector<Value> inputs;
-  {
-    std::lock_guard<std::mutex> lock(state.mu);
-    for (const auto& in : node.logical.input_vars) {
-      if (in.empty()) continue;
-      auto it = state.vars.find(in);
-      if (it == state.vars.end()) {
-        return Status::FailedPrecondition("missing input variable " + in +
-                                          " for " + node.logical.op_name);
-      }
-      inputs.push_back(it->second);
+  for (const auto& in : node.logical.input_vars) {
+    if (in.empty()) continue;
+    auto it = state.vars.find(in);
+    if (it == state.vars.end()) {
+      return Status::FailedPrecondition("missing input variable " + in +
+                                        " for " + node.logical.op_name);
     }
+    inputs.push_back(it->second);
   }
   for (const Value& in : inputs) {
     record.actual_in_card =
@@ -106,10 +102,7 @@ StatusOr<exec::NodeCost> PlanExecutor::RunNode(ExecutionState& state,
   // the expected result, retry with alternative physical
   // implementations instead of restarting the whole plan.
   if (!output.ok()) {
-    {
-      std::lock_guard<std::mutex> lock(state.mu);
-      state.adjusted = true;
-    }
+    state.adjusted = true;
     node_span.AddAttr("adjusted", true);
     record.adjusted = true;
     MetricAddCounter(telemetry::kMetricExecAdjustments);
@@ -135,7 +128,6 @@ StatusOr<exec::NodeCost> PlanExecutor::RunNode(ExecutionState& state,
     }
   }
 
-  std::lock_guard<std::mutex> lock(state.mu);
   if (!output.ok()) {
     node_span.AddAttr("status", output.status().ToString());
     return output.status();

@@ -3,7 +3,6 @@
 
 #include <map>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <vector>
@@ -191,8 +190,9 @@ class PlanExecutor {
   /// Everything one plan execution carries across the staged engine's
   /// pauses: the (possibly replanned) plan, bound variable values, the
   /// incremental virtual-time schedule, and the replans applied so far.
-  /// Created by Begin(), advanced by Run(), finalized by Finish(). Not
-  /// movable (owns a mutex); construct in place and pass by reference.
+  /// Created by Begin(), advanced by Run(), finalized by Finish(). Only
+  /// the query's own thread touches it. Not copyable (its scheduler
+  /// refers to `plan.dag`); construct in place and pass by reference.
   struct ExecutionState {
     ExecutionState() = default;
     ExecutionState(const ExecutionState&) = delete;
@@ -203,8 +203,6 @@ class PlanExecutor {
     PhysicalPlan plan;
     Trace* trace = nullptr;
     std::unique_ptr<ScopedSpan> exec_span;
-    /// Guards vars / adjusted.
-    std::mutex mu;
     std::map<std::string, Value> vars;
     bool adjusted = false;
     Status run_status = Status::OK();

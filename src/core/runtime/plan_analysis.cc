@@ -3,11 +3,13 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <map>
 #include <sstream>
 
-#include "common/accuracy.h"
+#include "common/metrics.h"
 #include "common/stats.h"
 #include "common/string_util.h"
+#include "common/telemetry_names.h"
 #include "core/operators/physical.h"
 
 namespace unify::core {
@@ -57,7 +59,6 @@ std::vector<PlanNodeAnalysis> BuildPlanAnalysis(
     const PhysicalPlan& plan, const PlanExecutor& executor,
     const CostModel& cost_model, OptimizeObjective objective,
     const std::vector<ReplanRecord>& replans) {
-  auto& ledger = AccuracyLedger::Global();
   const auto& stats = executor.node_stats();
   const auto& actuals = executor.node_executions();
   // Which replan (1-based ordinal) re-lowered each node.
@@ -117,9 +118,13 @@ std::vector<PlanNodeAnalysis> BuildPlanAnalysis(
     a.replanned_by = replanned_by[u];
     if (actual.executed) {
       a.card_qerror = QError(a.est_out_card, a.actual_out_card);
-      ledger.RecordCardQError(a.card_qerror);
-      ledger.RecordImplChoice(
-          a.impl, HindsightOptimal(node, actual, cost_model, objective));
+      MetricObserve(telemetry::kMetricCardQError, a.card_qerror);
+      MetricAddCounter(std::string(telemetry::kMetricImplChosen) + "." +
+                       a.impl);
+      MetricAddCounter(
+          HindsightOptimal(node, actual, cost_model, objective)
+              ? telemetry::kMetricImplChoiceOptimal
+              : telemetry::kMetricImplChoiceSuboptimal);
     }
     analysis.push_back(std::move(a));
   }
@@ -152,7 +157,6 @@ std::vector<PlanNodeAnalysis> BuildPlanAnalysis(
 int AuditReplanOutcomes(const std::vector<ReplanRecord>& replans,
                         const PlanExecutor& executor,
                         OptimizeObjective objective, double base_seconds) {
-  auto& ledger = AccuracyLedger::Global();
   const auto& stats = executor.node_stats();
   const auto& actuals = executor.node_executions();
   int improved_count = 0;
@@ -181,10 +185,120 @@ int AuditReplanOutcomes(const std::vector<ReplanRecord>& replans,
                      ? suffix_dollars < rec.old_suffix_cost
                      : suffix_completion < rec.old_suffix_cost;
     }
-    ledger.RecordReplanOutcome(improved);
-    if (improved) ++improved_count;
+    if (improved) {
+      MetricAddCounter(telemetry::kMetricReplanImproved);
+      ++improved_count;
+    }
   }
   return improved_count;
+}
+
+namespace {
+
+/// A counter of `snapshot` rounded to an integer count; 0 when absent.
+int64_t CountOf(const MetricsSnapshot& snapshot, const std::string& name) {
+  auto it = snapshot.counters.find(name);
+  return it == snapshot.counters.end() ? 0 : std::llround(it->second);
+}
+
+/// The histograms and counters of `map` whose names extend `family` + "."
+/// keyed by the remaining suffix, in name order.
+template <typename T>
+std::map<std::string, T> Family(const std::map<std::string, T>& map,
+                                const std::string& family) {
+  const std::string prefix = family + ".";
+  std::map<std::string, T> members;
+  for (auto it = map.lower_bound(prefix);
+       it != map.end() && it->first.compare(0, prefix.size(), prefix) == 0;
+       ++it) {
+    members.emplace(it->first.substr(prefix.size()), it->second);
+  }
+  return members;
+}
+
+void AppendHistLine(std::ostringstream& os, const std::string& label,
+                    const Histogram* h) {
+  char buf[192];
+  if (h == nullptr || h->count() == 0) {
+    std::snprintf(buf, sizeof(buf), "  %-28s (no samples)\n", label.c_str());
+  } else {
+    std::snprintf(buf, sizeof(buf),
+                  "  %-28s n=%-6zu p50=%-9.4g p90=%-9.4g max=%.4g\n",
+                  label.c_str(), h->count(), h->Quantile(0.5),
+                  h->Quantile(0.9), h->Max());
+  }
+  os << buf;
+}
+
+const Histogram* FindHistogram(const MetricsSnapshot& snapshot,
+                               const char* name) {
+  auto it = snapshot.histograms.find(name);
+  return it == snapshot.histograms.end() ? nullptr : &it->second;
+}
+
+}  // namespace
+
+ReplanTotals ReplanTotalsOf(const MetricsSnapshot& snapshot) {
+  ReplanTotals totals;
+  totals.considered = CountOf(snapshot, telemetry::kMetricReplanConsidered);
+  totals.adopted = CountOf(snapshot, telemetry::kMetricReplanTriggered);
+  totals.improved = CountOf(snapshot, telemetry::kMetricReplanImproved);
+  return totals;
+}
+
+std::string AccuracyReport(const MetricsSnapshot& snapshot) {
+  std::ostringstream os;
+  os << "prediction accuracy\n";
+  os << "SCE q-error by method:\n";
+  const auto sce = Family(snapshot.histograms, telemetry::kMetricSceQError);
+  if (sce.empty()) os << "  (no estimates recorded)\n";
+  for (const auto& [method, hist] : sce) {
+    AppendHistLine(os, method, &hist);
+  }
+  os << "plan vs execution:\n";
+  AppendHistLine(os, "node card q-error",
+                 FindHistogram(snapshot, telemetry::kMetricCardQError));
+  AppendHistLine(os, "makespan rel error",
+                 FindHistogram(snapshot, telemetry::kMetricMakespanRelError));
+  AppendHistLine(os, "dollars rel error",
+                 FindHistogram(snapshot, telemetry::kMetricDollarsRelError));
+  const int64_t optimal =
+      CountOf(snapshot, telemetry::kMetricImplChoiceOptimal);
+  const int64_t audited =
+      optimal + CountOf(snapshot, telemetry::kMetricImplChoiceSuboptimal);
+  os << "impl choice (hindsight audit):\n";
+  if (audited == 0) {
+    os << "  (no executed nodes audited)\n";
+  } else {
+    char buf[160];
+    std::snprintf(buf, sizeof(buf), "  optimal %lld / %lld (%.1f%%)\n",
+                  static_cast<long long>(optimal),
+                  static_cast<long long>(audited),
+                  100.0 * static_cast<double>(optimal) /
+                      static_cast<double>(audited));
+    os << buf;
+    for (const auto& [impl, count] :
+         Family(snapshot.counters, telemetry::kMetricImplChosen)) {
+      std::snprintf(buf, sizeof(buf), "  chosen %-22s %lld\n", impl.c_str(),
+                    static_cast<long long>(std::llround(count)));
+      os << buf;
+    }
+  }
+  os << "mid-query replanning:\n";
+  const ReplanTotals replans = ReplanTotalsOf(snapshot);
+  if (replans.considered == 0) {
+    os << "  (no replans considered)\n";
+  } else {
+    char buf[192];
+    std::snprintf(buf, sizeof(buf),
+                  "  considered %lld, adopted %lld, improved %lld/%lld\n",
+                  static_cast<long long>(replans.considered),
+                  static_cast<long long>(replans.adopted),
+                  static_cast<long long>(replans.improved),
+                  static_cast<long long>(replans.adopted));
+    os << buf;
+  }
+  return os.str();
 }
 
 std::string QueryResult::explain_analyze() const {

@@ -1,8 +1,11 @@
 #ifndef UNIFY_CORE_RUNTIME_PLAN_ANALYSIS_H_
 #define UNIFY_CORE_RUNTIME_PLAN_ANALYSIS_H_
 
+#include <cstdint>
+#include <string>
 #include <vector>
 
+#include "common/metrics.h"
 #include "core/physical/cost_model.h"
 #include "core/physical/optimizer.h"
 #include "core/physical/physical_plan.h"
@@ -15,10 +18,11 @@ namespace unify::core {
 /// optimizer's estimates next to what execution measured, in the plan's
 /// topological render order, with replanned-node markers and (when the
 /// Section V-D fallback produced the answer) a trailing synthetic record
-/// for the fallback generation. Every executed node also feeds the
-/// process-wide AccuracyLedger: its cardinality q-error and the hindsight
-/// impl-choice audit (is the chosen impl still the cost-model argmin when
-/// re-costed with measured cardinalities under `objective`?).
+/// for the fallback generation. Every executed node also records its
+/// cardinality q-error (card.qerror) and the hindsight impl-choice audit
+/// (plan.impl_chosen.*, plan.impl_choice.*: is the chosen impl still the
+/// cost-model argmin when re-costed with measured cardinalities under
+/// `objective`?) into the metrics registry.
 std::vector<PlanNodeAnalysis> BuildPlanAnalysis(
     const PhysicalPlan& plan, const PlanExecutor& executor,
     const CostModel& cost_model, OptimizeObjective objective,
@@ -31,12 +35,30 @@ std::vector<PlanNodeAnalysis> BuildPlanAnalysis(
 /// kTime, suffix dollars under kDollars. `base_seconds` is the absolute
 /// virtual time execution became ready (0 for a private pool), lifting
 /// the executor's query-relative node times onto the clock the record's
-/// predictions use. Outcomes are recorded into the AccuracyLedger
-/// (plan.reoptimize.improved) and returned as the number of improved
-/// replans.
+/// predictions use. Improved replans are counted in
+/// plan.reoptimize.improved and returned.
 int AuditReplanOutcomes(const std::vector<ReplanRecord>& replans,
                         const PlanExecutor& executor,
                         OptimizeObjective objective, double base_seconds);
+
+/// Process-wide mid-query replanning totals, read from the
+/// plan.reoptimize.* counters of a metrics snapshot. Every adopted replan
+/// is audited when its query finishes, so `adopted - improved` counts the
+/// adopted replans that did not improve whenever no query is in flight.
+struct ReplanTotals {
+  int64_t considered = 0;
+  int64_t adopted = 0;
+  int64_t improved = 0;
+  int64_t not_improved() const { return adopted - improved; }
+};
+ReplanTotals ReplanTotalsOf(const MetricsSnapshot& snapshot);
+
+/// The calibration report (`/accuracy`, the shell's `\accuracy`): SCE
+/// q-error per estimation method, plan-vs-execution errors, the hindsight
+/// impl-choice audit and the replan totals, rendered from the prediction-
+/// accuracy metrics of `snapshot` (docs/observability.md, "Prediction
+/// accuracy").
+std::string AccuracyReport(const MetricsSnapshot& snapshot);
 
 }  // namespace unify::core
 

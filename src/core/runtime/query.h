@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -58,93 +57,18 @@ enum class QueryPriority {
 /// "batch", "normal", or "interactive".
 const char* QueryPriorityName(QueryPriority priority);
 
-struct UnifyOptions;
-
-/// The per-query options after resolving QueryRequest::Overrides against
-/// the system-wide UnifyOptions: every field is concrete — this is what
-/// the runtime actually executes with. Produced by
-/// QueryRequest::Overrides::ResolveAgainst().
-struct ResolvedQueryOptions {
-  OptimizeObjective objective;
-  PhysicalMode physical_mode;
-  bool collect_trace = false;
-  /// Clamped to >= 1; 1 is the sequential single-stream model.
-  int max_intra_op_parallelism = 1;
-  bool graceful_degradation = false;
-  /// Before the deadline clamp the runtime applies per query.
-  double retry_budget_seconds = 0;
-  /// Whether cacheable per-document LLM calls go through the shared
-  /// answer cache (docs/caching.md).
-  bool use_llm_cache = false;
-  /// Mid-query re-optimization (docs/replanning.md): pause at
-  /// materialization points whose observed cardinality diverges from the
-  /// estimate by `reoptimize_qerror_threshold` or more and re-lower the
-  /// un-executed suffix, at most `max_reoptimizations` times per query.
-  bool reoptimize = false;
-  double reoptimize_qerror_threshold = 3.0;
-  int max_reoptimizations = 2;
-};
-
-/// One analytics query plus its per-query options. The explicit request
-/// type is the stable public entry point: construct with just `text` for
-/// defaults, or set `overrides` fields to shadow the system-wide
-/// UnifyOptions for this query only.
+/// One analytics query. The explicit request type is the stable public
+/// entry point: construct with just `text`. Every planning and execution
+/// setting is system-wide (UnifyOptions); a differently configured query
+/// runs on a differently configured UnifySystem.
 struct QueryRequest {
   /// The natural-language analytics question.
   std::string text;
 
-  /// Every per-query knob that shadows a system-wide UnifyOptions
-  /// setting lives here, as an optional: unset means "use the system
-  /// default". One struct, one resolution rule — ResolveAgainst() is the
-  /// single place request-vs-system precedence is decided.
-  struct Overrides {
-    /// Shadows UnifyOptions::objective (time vs. dollars).
-    std::optional<OptimizeObjective> objective;
-    /// Shadows UnifyOptions::physical_mode.
-    std::optional<PhysicalMode> physical_mode;
-    /// Shadows UnifyOptions::collect_trace.
-    std::optional<bool> collect_trace;
-    /// Shadows the executor's morsel-driven intra-operator parallelism
-    /// (UnifyOptions::exec.max_intra_op_parallelism) — also steers the
-    /// optimizer's makespan prediction. Values < 1 clamp to 1; 1
-    /// reproduces the sequential single-stream model exactly, and
-    /// answers are byte-identical for every setting.
-    std::optional<int> max_intra_op_parallelism;
-    /// Shadows UnifyOptions::graceful_degradation: when a transient LLM
-    /// failure survives retries AND the executor's fallback strategies,
-    /// surface a partial/empty answer with QueryPhase::kDegraded instead
-    /// of failing the query.
-    std::optional<bool> graceful_degradation;
-    /// Shadows UnifyOptions::default_retry_budget_seconds (virtual
-    /// seconds of backoff + retry work the query may spend recovering
-    /// from transient LLM faults; see docs/resilience.md). The runtime
-    /// additionally clamps the resolved value to `deadline_seconds`;
-    /// 0 disables retrying for this query.
-    std::optional<double> retry_budget_seconds;
-    /// Shadows UnifyOptions::cache.enabled: route this query's cacheable
-    /// per-document LLM calls through (true) or around (false) the
-    /// shared answer cache (docs/caching.md).
-    std::optional<bool> use_llm_cache;
-    /// Shadow the system-wide mid-query re-optimization knobs
-    /// (UnifyOptions::exec.reoptimize / reoptimize_qerror_threshold /
-    /// max_reoptimizations; docs/replanning.md). With reoptimize off the
-    /// executor never pauses for a replan.
-    std::optional<bool> reoptimize;
-    std::optional<double> reoptimize_qerror_threshold;
-    std::optional<int> max_reoptimizations;
-    /// Serving-layer scheduling class (default kNormal). Unlike the other
-    /// overrides this shadows no UnifyOptions field — it is consumed by
-    /// UnifyService's fair scheduler before the query reaches the runtime,
-    /// so ResolveAgainst() ignores it (docs/api.md, "Scheduling & tenant
-    /// isolation").
-    std::optional<QueryPriority> priority;
-
-    /// The one resolution rule: each set field wins over its system-wide
-    /// counterpart in `defaults`; parallelism is clamped to >= 1.
-    /// Defined in unify.cc (needs the full UnifyOptions type).
-    ResolvedQueryOptions ResolveAgainst(const UnifyOptions& defaults) const;
-  };
-  Overrides overrides;
+  /// Serving-layer scheduling class. Consumed by UnifyService's fair
+  /// scheduler before the query reaches the runtime; direct Answer()
+  /// calls ignore it (docs/api.md, "Scheduling & tenant isolation").
+  QueryPriority priority = QueryPriority::kNormal;
 
   /// Upper bound on the query's *virtual* total time (planning + execution
   /// including cross-query queueing), in seconds; 0 = no deadline. A query

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <utility>
 
-#include "common/accuracy.h"
 #include "common/string_util.h"
 #include "common/telemetry_names.h"
 #include "core/runtime/plan_analysis.h"
@@ -51,11 +50,7 @@ bool QueryPipeline::Admit() {
     return false;
   }
 
-  // The one per-query options resolution: every request override is
-  // folded against the system-wide defaults here, and the rest of the
-  // pipeline reads only the resolved values.
-  ctx_.resolved = request_.overrides.ResolveAgainst(system_.options_);
-  if (ctx_.trace == nullptr && ctx_.resolved.collect_trace) {
+  if (ctx_.trace == nullptr && system_.options_.collect_trace) {
     ctx_.trace = std::make_shared<Trace>();
   }
   // Virtual arrival: explicit request time (closed-loop clients), else the
@@ -74,17 +69,14 @@ bool QueryPipeline::Admit() {
 
   // Retry budget: one shared pool of virtual backoff/retry seconds per
   // query, drained by every thread that retries on its behalf. The
-  // resolved request value, clamped so retrying can never spend past an
+  // system-wide budget, clamped so retrying can never spend past an
   // explicit deadline.
-  double budget_seconds = ctx_.resolved.retry_budget_seconds;
+  double budget_seconds = system_.options_.default_retry_budget_seconds;
   if (request_.deadline_seconds > 0) {
     budget_seconds = std::min(budget_seconds, request_.deadline_seconds);
   }
   ctx_.retry_budget.emplace(budget_seconds);
   budget_scope_.emplace(&*ctx_.retry_budget);
-
-  // Shared-cache routing for this query's calls.
-  cache_scope_.emplace(ctx_.resolved.use_llm_cache);
 
   root_ = std::make_unique<ScopedSpan>(ctx_.trace.get(),
                                        telemetry::kSpanQuery, parent_);
@@ -116,18 +108,10 @@ bool QueryPipeline::Parse() {
 bool QueryPipeline::Optimize() {
   QueryResult& result = ctx_.result;
   // Physical plan generation + plan selection (Section VI), under the
-  // request's per-query objective / mode overrides. The same oopts later
-  // parameterize every mid-query Reoptimize call, so replans honor the
-  // overrides too.
-  ctx_.oopts = system_.optimizer_->options();
-  ctx_.oopts.objective = ctx_.resolved.objective;
-  ctx_.oopts.mode = ctx_.resolved.physical_mode;
-  // The optimizer predicts and the executor runs under the same
-  // intra-operator parallelism.
-  ctx_.oopts.max_intra_op_parallelism = ctx_.resolved.max_intra_op_parallelism;
-  auto physical = system_.optimizer_->SelectBest(ctx_.generated->plans,
-                                                 ctx_.oopts, ctx_.trace.get(),
-                                                 root_->id());
+  // system's optimizer options — the same ones every mid-query
+  // Reoptimize call uses.
+  auto physical = system_.optimizer_->SelectBest(
+      ctx_.generated->plans, ctx_.trace.get(), root_->id());
   if (!physical.ok()) {
     result.status = physical.status();
     result.phase = QueryPhase::kOptimization;
@@ -167,16 +151,15 @@ void QueryPipeline::ExecutePlan() {
   ectx.custom_ops = system_.options_.custom_ops;
   ectx.llm_batch_size = system_.options_.llm_batch_size;
   PlanExecutor::Options eopts = system_.options_.exec;
-  eopts.max_intra_op_parallelism = ctx_.resolved.max_intra_op_parallelism;
-  eopts.reoptimize = ctx_.resolved.reoptimize;
-  eopts.reoptimize_qerror_threshold =
-      ctx_.resolved.reoptimize_qerror_threshold;
-  eopts.max_reoptimizations = ctx_.resolved.max_reoptimizations;
+  // The optimizer predicts (Setup() applies the same clamp) and the
+  // executor runs under the same intra-operator parallelism.
+  eopts.max_intra_op_parallelism =
+      std::max(1, eopts.max_intra_op_parallelism);
   eopts.shared_pool = shared_pool_;
   // Execution streams become ready once planning finishes on the virtual
   // clock (planning runs on the planner tier, not the worker pool).
   eopts.start_seconds = result.arrival_seconds + result.plan_seconds;
-  eopts.graceful_degradation = ctx_.resolved.graceful_degradation;
+  eopts.graceful_degradation = system_.options_.graceful_degradation;
   PlanExecutor executor(ectx, eopts);
 
   // The resumable engine (docs/replanning.md): execute one node at a time
@@ -225,7 +208,7 @@ void QueryPipeline::ExecutePlan() {
 void QueryPipeline::ConsiderReplan(const ReplanRequest& request,
                                    PlanExecutor& executor,
                                    PlanExecutor::ExecutionState& state) {
-  AccuracyLedger::Global().RecordReplanConsidered();
+  MetricAddCounter(telemetry::kMetricReplanConsidered);
   ReplanRecord record;
   record.trigger_node = request.node;
   record.trigger_var = request.output_var;
@@ -251,16 +234,17 @@ void QueryPipeline::ConsiderReplan(const ReplanRequest& request,
   // pause's end (trigger finish + decision time) — deterministic, keyed
   // on the observations only.
   const PhysicalPlan* adopt_plan = nullptr;
+  const OptimizerOptions& oopts = system_.optimizer_->options();
   StatusOr<ReoptimizeResult> reopt = system_.optimizer_->Reoptimize(
       state.plan, request.executed,
-      CardinalityOverrides{request.observed_cards}, ctx_.oopts,
+      CardinalityOverrides{request.observed_cards}, oopts,
       request.elapsed_seconds + verdict.seconds);
   const bool endorsed =
       verdict.status.ok() && verdict.Get("verdict") == "reoptimize";
   if (endorsed && reopt.ok()) {
     record.nodes_rechosen = reopt->nodes_rechosen;
     record.est_bias = reopt->est_bias;
-    if (ctx_.oopts.objective == OptimizeObjective::kDollars) {
+    if (oopts.objective == OptimizeObjective::kDollars) {
       record.old_suffix_cost = reopt->old_suffix_dollars;
       record.new_suffix_cost = reopt->new_suffix_dollars;
     } else {
@@ -275,7 +259,7 @@ void QueryPipeline::ConsiderReplan(const ReplanRequest& request,
     }
   }
   if (adopt_plan != nullptr) {
-    AccuracyLedger::Global().RecordReplanTriggered();
+    MetricAddCounter(telemetry::kMetricReplanTriggered);
   }
 
   record.adopted = adopt_plan != nullptr;
@@ -287,11 +271,12 @@ void QueryPipeline::ConsiderReplan(const ReplanRequest& request,
 void QueryPipeline::Analyze(PlanExecutor& executor,
                             const PhysicalPlan& executed_plan) {
   QueryResult& result = ctx_.result;
-  // EXPLAIN ANALYZE + accuracy ledger: the optimizer's estimates next to
-  // what execution measured, per node and plan-wide.
+  // EXPLAIN ANALYZE + prediction-accuracy metrics: the optimizer's
+  // estimates next to what execution measured, per node and plan-wide.
+  const OptimizeObjective objective = system_.options_.objective;
   result.plan_analysis =
       BuildPlanAnalysis(executed_plan, executor, system_.cost_model_,
-                        ctx_.oopts.objective, result.replans);
+                        objective, result.replans);
   if (!result.replans.empty()) {
     // Lift the executor's query-relative node times onto the absolute
     // clock the replan predictions used: the shared pool's
@@ -300,19 +285,19 @@ void QueryPipeline::Analyze(PlanExecutor& executor,
         shared_pool_ != nullptr
             ? result.arrival_seconds + result.plan_seconds
             : 0.0;
-    AuditReplanOutcomes(result.replans, executor, ctx_.oopts.objective,
-                        base_seconds);
+    AuditReplanOutcomes(result.replans, executor, objective, base_seconds);
   }
-  auto& ledger = AccuracyLedger::Global();
   if (result.exec_seconds > 0) {
-    ledger.RecordMakespanRelError(
+    MetricObserve(
+        telemetry::kMetricMakespanRelError,
         std::abs(result.predicted_exec_seconds - result.exec_seconds) /
-        result.exec_seconds);
+            result.exec_seconds);
   }
   if (result.exec_dollars > 0) {
-    ledger.RecordDollarsRelError(
+    MetricObserve(
+        telemetry::kMetricDollarsRelError,
         std::abs(result.predicted_exec_dollars - result.exec_dollars) /
-        result.exec_dollars);
+            result.exec_dollars);
   }
 
   // Feed measured costs back into the model (running calibration), against

@@ -13,7 +13,6 @@
 #include "core/runtime/query.h"
 #include "exec/virtual_pool.h"
 #include "llm/resilient_client.h"
-#include "llm/shared_cache.h"
 
 namespace unify::core {
 
@@ -23,16 +22,16 @@ class UnifySystem;
 /// parse (logical plan generation) -> optimize (physical lowering + plan
 /// selection + deadline pre-check) -> execute (the resumable engine with
 /// the mid-query replan loop, docs/replanning.md) -> analyze (EXPLAIN
-/// ANALYZE + accuracy ledger + cost-model feedback). The stages share one
+/// ANALYZE + prediction-accuracy metrics + cost-model feedback). The stages share one
 /// QueryContext; each reads what earlier stages left there and the
 /// pipeline finalizes the QueryResult exactly once, whatever stage
 /// stopped the query.
 ///
 /// One pipeline serves one query on one thread — execution included; it
-/// installs the query's thread-local scopes — metrics sink, retry budget,
-/// cache routing — for its whole lifetime, so every LLM call the query
-/// makes (planning, replan decisions, operators, morsels) is attributed to
-/// it.
+/// installs the query's thread-local scopes — metrics sink and retry
+/// budget — for its whole lifetime, so every LLM call the query makes
+/// (planning, replan decisions, operators, morsels) is attributed to it.
+/// Every setting comes from the system's UnifyOptions.
 class QueryPipeline {
  public:
   /// `system` must be Setup(); `shared_pool` non-null schedules execution
@@ -50,10 +49,6 @@ class QueryPipeline {
   /// consume it; `result` accumulates the externally visible outcome.
   struct QueryContext {
     QueryResult result;
-    ResolvedQueryOptions resolved;
-    /// The per-query optimizer options (system options + request
-    /// overrides), reused verbatim by mid-query re-optimization.
-    OptimizerOptions oopts;
     std::shared_ptr<Trace> trace;
     /// This query's own metrics registry (installed as the thread-local
     /// sink; the executor re-installs it on its workers).
@@ -66,8 +61,8 @@ class QueryPipeline {
     std::optional<PhysicalPlan> physical;
   };
 
-  /// Admission checks + per-query environment (resolved options, trace,
-  /// metrics/budget/cache scopes, root span). False stops the pipeline.
+  /// Admission checks + per-query environment (trace, metrics/budget
+  /// scopes, root span). False stops the pipeline.
   bool Admit();
   /// Logical plan generation (Section V).
   bool Parse();
@@ -83,8 +78,9 @@ class QueryPipeline {
   /// cardinalities, and the adopt-or-keep verdict applied to `state`.
   void ConsiderReplan(const ReplanRequest& request, PlanExecutor& executor,
                       PlanExecutor::ExecutionState& state);
-  /// EXPLAIN ANALYZE records + accuracy-ledger feeding + replan outcome
-  /// audit + cost-model feedback, against the plan that actually ran.
+  /// EXPLAIN ANALYZE records + prediction-accuracy metrics + replan
+  /// outcome audit + cost-model feedback, against the plan that actually
+  /// ran.
   void Analyze(PlanExecutor& executor, const PhysicalPlan& executed_plan);
   /// Totals, phase, per-query metrics snapshot, trace attributes.
   void Finalize();
@@ -99,7 +95,6 @@ class QueryPipeline {
   /// lifetime (declaration order matters only for destruction symmetry).
   std::optional<MetricsRegistry::ScopedSink> metrics_scope_;
   std::optional<llm::RetryBudget::ScopedUse> budget_scope_;
-  std::optional<llm::SharedCacheLlmClient::ScopedUse> cache_scope_;
 };
 
 }  // namespace unify::core

@@ -7,11 +7,11 @@
 #include <sstream>
 #include <utility>
 
-#include "common/accuracy.h"
 #include "common/logging.h"
 #include "common/metrics.h"
 #include "common/rng.h"
 #include "common/telemetry_names.h"
+#include "core/runtime/plan_analysis.h"
 
 namespace unify::core {
 
@@ -112,8 +112,7 @@ std::future<QueryResult> UnifyService::Submit(QueryRequest request) {
       auto req = std::make_shared<QueryRequest>(std::move(request));
       FairScheduler::Task task;
       task.tenant = req->client_tag;
-      task.priority =
-          req->overrides.priority.value_or(QueryPriority::kNormal);
+      task.priority = req->priority;
       task.deadline_seconds = req->deadline_seconds > 0
                                   ? req->deadline_seconds
                                   : options_.default_deadline_seconds;
@@ -238,18 +237,11 @@ QueryResult UnifyService::Serve(const QueryRequest& request,
   if (effective.deadline_seconds <= 0) {
     effective.deadline_seconds = options_.default_deadline_seconds;
   }
-  if (!effective.overrides.max_intra_op_parallelism.has_value() &&
-      options_.default_max_intra_op_parallelism > 0) {
-    effective.overrides.max_intra_op_parallelism =
-        options_.default_max_intra_op_parallelism;
-  }
 
   // The serve.query span parents the query's own span tree, so a served
   // trace shows the serving layer on top of the usual lifecycle.
-  const bool collect_trace = effective.overrides.collect_trace.value_or(
-      system_->options().collect_trace);
   std::shared_ptr<Trace> trace;
-  if (collect_trace) trace = std::make_shared<Trace>();
+  if (system_->options().collect_trace) trace = std::make_shared<Trace>();
   QueryResult result;
   {
     // Null-trace ScopedSpan is a no-op, so the flow stays unconditional.
@@ -440,7 +432,8 @@ void UnifyService::StartHttpEndpoint() {
   http_->Handle(serving::kRouteAccuracy,
                 [](const serving::HttpRequest&) {
                   serving::HttpResponse response;
-                  response.body = AccuracyLedger::Global().ToText();
+                  response.body = AccuracyReport(
+                      MetricsRegistry::Global().Snapshot());
                   return response;
                 });
   http_->Handle(serving::kRouteTenants,

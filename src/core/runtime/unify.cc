@@ -222,28 +222,6 @@ Status UnifySystem::CalibrateCostModel() {
   return Status::OK();
 }
 
-ResolvedQueryOptions QueryRequest::Overrides::ResolveAgainst(
-    const UnifyOptions& defaults) const {
-  ResolvedQueryOptions r;
-  r.objective = objective.value_or(defaults.objective);
-  r.physical_mode = physical_mode.value_or(defaults.physical_mode);
-  r.collect_trace = collect_trace.value_or(defaults.collect_trace);
-  r.max_intra_op_parallelism = std::max(
-      1, max_intra_op_parallelism.value_or(
-             defaults.exec.max_intra_op_parallelism));
-  r.graceful_degradation =
-      graceful_degradation.value_or(defaults.graceful_degradation);
-  r.retry_budget_seconds =
-      retry_budget_seconds.value_or(defaults.default_retry_budget_seconds);
-  r.use_llm_cache = use_llm_cache.value_or(defaults.cache.enabled);
-  r.reoptimize = reoptimize.value_or(defaults.exec.reoptimize);
-  r.reoptimize_qerror_threshold = reoptimize_qerror_threshold.value_or(
-      defaults.exec.reoptimize_qerror_threshold);
-  r.max_reoptimizations = std::max(
-      0, max_reoptimizations.value_or(defaults.exec.max_reoptimizations));
-  return r;
-}
-
 const char* QueryPhaseName(QueryPhase phase) {
   switch (phase) {
     case QueryPhase::kAdmission:

@@ -74,18 +74,17 @@ struct UnifyOptions {
   /// Retry / hedge / circuit-breaker policies of the resilience decorator
   /// that sits between the (possibly faulty) client and the tracer.
   llm::ResilienceOptions resilience;
-  /// Default virtual seconds of retry overhead (backoff sleeps + retry
-  /// attempts) a query may spend recovering from transient LLM faults,
-  /// when the request sets neither `retry_budget_seconds` nor a deadline.
+  /// Virtual seconds of retry overhead (backoff sleeps + retry attempts)
+  /// each query may spend recovering from transient LLM faults, clamped
+  /// to the request's deadline when it sets one.
   double default_retry_budget_seconds = 120.0;
   /// When a transient LLM failure survives retries and the executor's
   /// fallback strategies, finish with a partial answer and
-  /// QueryPhase::kDegraded instead of failing (overridable per request).
+  /// QueryPhase::kDegraded instead of failing.
   bool graceful_degradation = false;
   /// The shared cross-query LLM answer cache (docs/caching.md): sharded
   /// bounded LRU + singleflight coalescing over per-document completions.
-  /// `cache.enabled` defaults to false (opt-in, overridable per request
-  /// via QueryRequest::Overrides::use_llm_cache).
+  /// `cache.enabled` defaults to false (opt-in).
   llm::SharedLlmCacheOptions cache;
 };
 
@@ -119,8 +118,8 @@ class UnifySystem {
   using Result = core::QueryResult;
   using QueryResult = core::QueryResult;
 
-  /// Answers one analytics query end to end, honoring the request's
-  /// per-query overrides (objective, physical mode, tracing, deadline).
+  /// Answers one analytics query end to end under this system's
+  /// UnifyOptions and the request's deadline.
   QueryResult Answer(const QueryRequest& request) const;
 
   /// Convenience overload: a request with default options.
@@ -187,8 +186,8 @@ class UnifySystem {
   /// schedules execution streams on a serving session's shared virtual
   /// server pool (times become absolute on its clock); null uses a fresh
   /// private pool. `trace` non-null lets the caller nest the query under
-  /// its own spans (`parent`); null creates a trace per the effective
-  /// collect_trace.
+  /// its own spans (`parent`); null creates a trace when
+  /// UnifyOptions::collect_trace is on.
   QueryResult AnswerInternal(const QueryRequest& request,
                              exec::VirtualLlmPool* shared_pool,
                              std::shared_ptr<Trace> trace,

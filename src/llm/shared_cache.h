@@ -18,9 +18,8 @@ namespace unify::llm {
 
 /// Configuration of a SharedLlmCache (UnifyOptions::cache).
 struct SharedLlmCacheOptions {
-  /// Serve per-document completions from the cache by default. Off keeps
-  /// the cache instance constructed but dormant; per-query overrides
-  /// (QueryRequest::Overrides::use_llm_cache) flip it either way.
+  /// Serve per-document completions from the cache. Off keeps the cache
+  /// instance constructed but dormant.
   bool enabled = false;
   /// Mutex-striped shards. Keys are distributed by stable hash, so two
   /// concurrent queries touching different documents rarely contend.
@@ -194,7 +193,7 @@ class SharedLlmCache {
 class SharedCacheLlmClient : public LlmClient {
  public:
   /// `base` and `cache` must outlive the client. `default_enabled` is
-  /// the system-wide setting; per-query overrides install a ScopedUse.
+  /// the system-wide setting (UnifyOptions::cache.enabled).
   SharedCacheLlmClient(LlmClient* base, SharedLlmCache* cache,
                        bool default_enabled)
       : base_(base), cache_(cache), default_enabled_(default_enabled) {}
@@ -206,9 +205,9 @@ class SharedCacheLlmClient : public LlmClient {
   void ResetUsage() override { base_->ResetUsage(); }
 
   /// RAII thread-local override of the client's default enablement
-  /// (mirrors RetryBudget::ScopedUse / MetricsRegistry::ScopedSink): the
-  /// runtime installs the query's resolved `use_llm_cache` on the query
-  /// thread, so one query's choice never leaks into another's calls.
+  /// (mirrors RetryBudget::ScopedUse / MetricsRegistry::ScopedSink):
+  /// UnifySystem::Setup() installs ScopedUse(false) so calibration always
+  /// measures real per-call costs, without touching concurrent callers.
   class ScopedUse {
    public:
     explicit ScopedUse(bool enabled);

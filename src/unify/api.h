@@ -3,8 +3,11 @@
 
 /// The umbrella header of Unify's stable public surface. Applications,
 /// examples and benchmarks should include this single header; everything
-/// it re-exports is documented in docs/api.md and kept
-/// source-compatible across versions:
+/// it re-exports is documented in docs/api.md. Names are kept
+/// source-compatible across versions except where docs/api.md records a
+/// removal (QueryRequest's per-query option overrides and
+/// UnifyService::Options::scheduler are gone: configure a query through
+/// its system's UnifyOptions):
 ///
 ///   * corpus loading and answers    (corpus/corpus.h, corpus/answer.h)
 ///   * LLM client interfaces         (llm/llm_client.h, llm/sim_llm.h)
@@ -18,10 +21,10 @@
 ///                                    see docs/resilience.md)
 ///   * the system + options          (core/runtime/unify.h)
 ///   * the query request/response    (core/runtime/query.h)
-///     — every per-query knob lives in QueryRequest::Overrides and
-///       resolves against UnifyOptions through one helper
-///       (Overrides::ResolveAgainst); answers are byte-identical at
-///       every max_intra_op_parallelism setting, see docs/api.md
+///     — a request carries text, deadline, priority and tenant tag;
+///       every other setting is the system's UnifyOptions. Answers are
+///       byte-identical at every max_intra_op_parallelism setting, see
+///       docs/api.md
 ///   * the concurrent serving layer  (core/runtime/service.h)
 ///   * custom operator registration  (core/operators/custom_ops.h)
 ///   * status/error taxonomy         (common/status.h)
@@ -56,9 +59,9 @@ namespace unify {
 /// code reads `unify::UnifySystem` rather than `unify::core::UnifySystem`.
 using core::QueryPhase;
 using core::QueryPhaseName;
+using core::QueryPriority;
 using core::QueryRequest;
 using core::QueryResult;
-using core::ResolvedQueryOptions;
 using core::UnifyOptions;
 using core::UnifyService;
 using core::UnifySystem;

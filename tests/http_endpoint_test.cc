@@ -19,6 +19,7 @@
 
 #include "common/metrics.h"
 #include "common/telemetry_names.h"
+#include "core/physical/sce.h"
 #include "core/runtime/service.h"
 #include "core/runtime/slo_tracker.h"
 #include "core/runtime/tenant_ledger.h"
@@ -456,6 +457,26 @@ TEST_F(ServiceEndpointTest, AllRoutesRespondWhileServing) {
   reply = HttpGet(port, serving::kRouteAccuracy);
   ASSERT_TRUE(reply.ok);
   EXPECT_EQ(reply.status, 200);
+  {
+    // The report renders the registry: the importance estimator's line
+    // sits under the SCE section with the histogram's sample count.
+    const std::string method =
+        core::SceMethodName(core::SceMethod::kImportance);
+    const MetricsSnapshot metrics = MetricsRegistry::Global().Snapshot();
+    auto hist = metrics.histograms.find(
+        std::string(telemetry::kMetricSceQError) + "." + method);
+    ASSERT_NE(hist, metrics.histograms.end());
+    const size_t section = reply.body.find("SCE q-error by method:\n");
+    const size_t section_end = reply.body.find("plan vs execution:\n");
+    const size_t line = reply.body.find("\n  " + method + " ", section);
+    ASSERT_NE(section, std::string::npos) << reply.body;
+    ASSERT_NE(line, std::string::npos) << reply.body;
+    EXPECT_LT(line, section_end) << reply.body;
+    const size_t n = reply.body.find("n=", line);
+    ASSERT_NE(n, std::string::npos) << reply.body;
+    EXPECT_EQ(std::stoul(reply.body.substr(n + 2)), hist->second.count())
+        << reply.body;
+  }
 
   // /tenants: {"usage": <ledger>, "sched": {tenant: queue state}}.
   reply = HttpGet(port, serving::kRouteTenants);

@@ -6,6 +6,7 @@
 // the measured one.
 
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -73,27 +74,34 @@ class PartitionSystemTest : public ::testing::Test {
     profile.doc_count = 500;
     corpus_ = new corpus::Corpus(corpus::GenerateCorpus(profile, 21));
     llm_ = new llm::SimulatedLlm(corpus_, llm::SimLlmOptions{});
-    UnifyOptions options;
-    // Frozen cost model: plan choice must not depend on which queries ran
-    // earlier, so the sweep below compares like with like.
-    options.cost_feedback = false;
-    system_ = new UnifySystem(corpus_, llm_, options);
-    ASSERT_TRUE(system_->Setup().ok());
+    // Parallelism is a system setting: one system per level of the sweep.
+    systems_ = new std::map<int, std::unique_ptr<UnifySystem>>();
+    for (int parallelism : {1, 2, 4, 8}) {
+      UnifyOptions options;
+      // Frozen cost model: plan choice must not depend on which queries
+      // ran earlier, so the sweep below compares like with like.
+      options.cost_feedback = false;
+      options.exec.max_intra_op_parallelism = parallelism;
+      auto system = std::make_unique<UnifySystem>(corpus_, llm_, options);
+      ASSERT_TRUE(system->Setup().ok());
+      (*systems_)[parallelism] = std::move(system);
+    }
   }
   static void TearDownTestSuite() {
-    delete system_;
+    delete systems_;
     delete llm_;
     delete corpus_;
-    system_ = nullptr;
+    systems_ = nullptr;
     llm_ = nullptr;
     corpus_ = nullptr;
   }
 
+  static const UnifySystem& SystemAt(int parallelism) {
+    return *systems_->at(parallelism);
+  }
+
   static QueryResult AnswerAt(const std::string& text, int parallelism) {
-    QueryRequest request;
-    request.text = text;
-    request.overrides.max_intra_op_parallelism = parallelism;
-    return system_->Answer(request);
+    return SystemAt(parallelism).Answer(text);
   }
 
   /// An LLM-filter-heavy query: a semantic condition forces per-document
@@ -108,12 +116,13 @@ class PartitionSystemTest : public ::testing::Test {
 
   static corpus::Corpus* corpus_;
   static llm::SimulatedLlm* llm_;
-  static UnifySystem* system_;
+  static std::map<int, std::unique_ptr<UnifySystem>>* systems_;
 };
 
 corpus::Corpus* PartitionSystemTest::corpus_ = nullptr;
 llm::SimulatedLlm* PartitionSystemTest::llm_ = nullptr;
-UnifySystem* PartitionSystemTest::system_ = nullptr;
+std::map<int, std::unique_ptr<UnifySystem>>* PartitionSystemTest::systems_ =
+    nullptr;
 
 TEST_F(PartitionSystemTest, AnswersByteIdenticalAcrossParallelism) {
   corpus::WorkloadOptions wopts;
@@ -200,25 +209,20 @@ TEST_F(PartitionSystemTest, ExplainShowsMorselsAndStatsStayEqual) {
                    p4.metrics.counters[telemetry::kMetricLlmSeconds]);
 }
 
-TEST_F(PartitionSystemTest, ServiceDefaultParallelismApplies) {
+TEST_F(PartitionSystemTest, ServedQueriesRunAtTheSystemParallelism) {
   UnifyService::Options sopts;
   sopts.num_workers = 2;
-  sopts.default_max_intra_op_parallelism = 4;
-  UnifyService service(system_, sopts);
   const std::string query = SemanticCountQuery();
 
-  QueryRequest plain;
-  plain.text = query;
-  QueryResult served = service.Answer(plain);
+  // A service over the parallelism-4 system: morsels ran.
+  UnifyService parallel(&SystemAt(4), sopts);
+  QueryResult served = parallel.Answer(query);
   ASSERT_TRUE(served.status.ok()) << served.status;
-  // The service-wide default kicked in: morsels ran.
   EXPECT_GE(served.metrics.counters[telemetry::kMetricExecPartitions], 2.0);
 
-  // An explicit per-request override beats the service default.
-  QueryRequest sequential;
-  sequential.text = query;
-  sequential.overrides.max_intra_op_parallelism = 1;
-  QueryResult seq = service.Answer(sequential);
+  // A service over the sequential system: one stream per node.
+  UnifyService sequential(&SystemAt(1), sopts);
+  QueryResult seq = sequential.Answer(query);
   ASSERT_TRUE(seq.status.ok()) << seq.status;
   EXPECT_DOUBLE_EQ(
       seq.metrics.counters[telemetry::kMetricExecPartitions], 0.0);

@@ -1,7 +1,7 @@
 // Mid-query re-optimization (docs/replanning.md): trigger behavior on a
 // seeded mis-estimator, byte-identity of the adaptive engine when nothing
-// triggers, suffix-only re-lowering, replan-cost charging, per-request
-// override plumbing, and concurrent served replans (this test is in the
+// triggers, suffix-only re-lowering, replan-cost charging, the replan
+// cap, and concurrent served replans (this test is in the
 // scripts/check.sh sanitizer gates).
 
 #include <memory>
@@ -40,12 +40,13 @@ class ReoptimizeTest : public ::testing::Test {
 
   // A fresh system; cost feedback off so repeated Answer() calls stay
   // order-independent (required by the byte-identity comparisons).
-  static std::unique_ptr<UnifySystem> MakeSystem(double card_est_scale,
-                                                 bool reoptimize,
-                                                 int parallelism = 1) {
+  static std::unique_ptr<UnifySystem> MakeSystem(
+      double card_est_scale, bool reoptimize, int parallelism = 1,
+      int max_reoptimizations = PlanExecutor::Options{}.max_reoptimizations) {
     UnifyOptions options;
     options.exec.max_intra_op_parallelism = parallelism;
     options.exec.reoptimize = reoptimize;
+    options.exec.max_reoptimizations = max_reoptimizations;
     options.card_est_scale = card_est_scale;
     options.cost_feedback = false;
     auto system = std::make_unique<UnifySystem>(corpus_, llm_, options);
@@ -214,31 +215,26 @@ TEST_F(ReoptimizeTest, ChargesReplanDecisionsToTheQuery) {
             adaptive.arrival_seconds + adaptive.total_seconds);
 }
 
-// Per-request Overrides plumbing: reoptimize can be forced on for one
-// query of an off-by-default system, and max_reoptimizations = 0 disables
-// pausing even when the trigger condition holds.
-TEST_F(ReoptimizeTest, HonorsPerRequestOverrides) {
-  auto system = MakeSystem(12.0, /*reoptimize=*/false);
+// The replan cap: on the same skewed estimator, a reoptimizing system
+// replans, while exec.max_reoptimizations = 0 disables pausing even when
+// the trigger condition holds, and a system with reoptimize off never
+// pauses.
+TEST_F(ReoptimizeTest, MaxReoptimizationsZeroDisablesPausing) {
   const std::string query = ChainedFilterQuery();
 
-  QueryRequest forced;
-  forced.text = query;
-  forced.overrides.reoptimize = true;
-  auto forced_result = system->Answer(forced);
-  ASSERT_TRUE(forced_result.status.ok()) << forced_result.status;
-  EXPECT_FALSE(forced_result.replans.empty());
+  auto adaptive = MakeSystem(12.0, /*reoptimize=*/true)->Answer(query);
+  ASSERT_TRUE(adaptive.status.ok()) << adaptive.status;
+  EXPECT_FALSE(adaptive.replans.empty());
+  EXPECT_GT(Counter(adaptive, "llm.calls.replan_decision"), 0);
 
-  QueryRequest capped;
-  capped.text = query;
-  capped.overrides.reoptimize = true;
-  capped.overrides.max_reoptimizations = 0;
-  auto capped_result = system->Answer(capped);
-  ASSERT_TRUE(capped_result.status.ok()) << capped_result.status;
-  EXPECT_TRUE(capped_result.replans.empty());
-  EXPECT_EQ(Counter(capped_result, "llm.calls.replan_decision"), 0);
+  auto capped = MakeSystem(12.0, /*reoptimize=*/true, /*parallelism=*/1,
+                           /*max_reoptimizations=*/0)
+                    ->Answer(query);
+  ASSERT_TRUE(capped.status.ok()) << capped.status;
+  EXPECT_TRUE(capped.replans.empty());
+  EXPECT_EQ(Counter(capped, "llm.calls.replan_decision"), 0);
 
-  // Default request on the off system: no replans.
-  auto plain = system->Answer(query);
+  auto plain = MakeSystem(12.0, /*reoptimize=*/false)->Answer(query);
   ASSERT_TRUE(plain.status.ok()) << plain.status;
   EXPECT_TRUE(plain.replans.empty());
 }

@@ -230,11 +230,17 @@ TEST_F(ServiceTest, EmptyQueryFailsAdmission) {
   EXPECT_EQ(result.phase, QueryPhase::kAdmission);
 }
 
-TEST_F(ServiceTest, PerQueryOverridesReachTheOptimizer) {
-  UnifyService service(system_, {});
+TEST_F(ServiceTest, ServedTraceNestsTheQueryUnderTheServeSpan) {
+  // The suite's shared system has tracing off; tracing is a system
+  // setting, so this case serves through a traced system.
+  UnifyOptions options;
+  options.cost_feedback = false;
+  options.collect_trace = true;
+  UnifySystem traced(corpus_, llm_, options);
+  ASSERT_TRUE(traced.Setup().ok());
+  UnifyService service(&traced, {});
   QueryRequest request;
   request.text = Queries().front();
-  request.overrides.collect_trace = true;
   request.client_tag = "tenant-7";
   QueryResult result = service.Answer(std::move(request));
   ASSERT_TRUE(result.status.ok()) << result.status;
@@ -408,7 +414,7 @@ TEST_F(ServiceTest, FairSchedulerServesIdenticalAnswersToSequential) {
       QueryRequest request;
       request.text = queries[i];
       request.client_tag = "t" + std::to_string(i % 3);
-      request.overrides.priority = static_cast<QueryPriority>(i % 3);
+      request.priority = static_cast<QueryPriority>(i % 3);
       futures.push_back(service.Submit(std::move(request)));
     }
     for (size_t i = 0; i < queries.size(); ++i) {
@@ -697,13 +703,18 @@ TEST_F(ServiceTest, QueueFullRejectsRaceDeadlineMissesAndEventsReconcile) {
   EXPECT_EQ(stats.completed, ok_n + miss_n);
 }
 
-TEST_F(ServiceTest, DollarsObjectiveOverrideProducesAResult) {
-  UnifyService service(system_, {});
-  QueryRequest request;
-  request.text = Queries().front();
-  request.overrides.objective = OptimizeObjective::kDollars;
-  QueryResult timed = service.Answer(Queries().front());
-  QueryResult dollars = service.Answer(std::move(request));
+TEST_F(ServiceTest, DollarsObjectiveSystemProducesAResult) {
+  UnifyOptions options;
+  options.collect_trace = false;
+  options.cost_feedback = false;
+  options.objective = OptimizeObjective::kDollars;
+  UnifySystem dollars_system(corpus_, llm_, options);
+  ASSERT_TRUE(dollars_system.Setup().ok());
+  UnifyService timed_service(system_, {});
+  UnifyService dollars_service(&dollars_system, {});
+  QueryResult timed = timed_service.Answer(Queries().front());
+  QueryResult dollars = dollars_service.Answer(Queries().front());
+  ASSERT_TRUE(timed.status.ok()) << timed.status;
   ASSERT_TRUE(dollars.status.ok()) << dollars.status;
   // Same question, so whatever plan the objective picks must agree.
   EXPECT_EQ(dollars.answer.ToString(), timed.answer.ToString());
