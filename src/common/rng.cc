@@ -17,15 +17,21 @@ uint64_t SplitMix64(uint64_t& state) {
   return z ^ (z >> 31);
 }
 
+uint64_t Fnv1aContinue(uint64_t state, std::string_view data) {
+  for (unsigned char c : data) {
+    state ^= c;
+    state *= 0x100000001b3ULL;
+  }
+  return state;
+}
+
+uint64_t StableHashFinish(uint64_t fnv_state) {
+  return SplitMix64(fnv_state);
+}
+
 uint64_t StableHash64(std::string_view data) {
   // FNV-1a over bytes, then a SplitMix64 finisher for avalanche.
-  uint64_t h = 0xcbf29ce484222325ULL;
-  for (unsigned char c : data) {
-    h ^= c;
-    h *= 0x100000001b3ULL;
-  }
-  uint64_t state = h;
-  return SplitMix64(state);
+  return StableHashFinish(Fnv1aContinue(kFnv1aOffsetBasis, data));
 }
 
 uint64_t HashCombine(uint64_t a, uint64_t b) {

@@ -16,6 +16,18 @@ uint64_t SplitMix64(uint64_t& state);
 /// hashes its inputs through this so results are reproducible.
 uint64_t StableHash64(std::string_view data);
 
+/// The FNV-1a state StableHash64 starts from.
+inline constexpr uint64_t kFnv1aOffsetBasis = 0xcbf29ce484222325ULL;
+
+/// Continues an FNV-1a state over `data`. Hashing a string in pieces
+/// reaches the state of hashing it whole, so a shared prefix is hashed
+/// once: StableHash64(a + b) ==
+/// StableHashFinish(Fnv1aContinue(Fnv1aContinue(kFnv1aOffsetBasis, a), b)).
+uint64_t Fnv1aContinue(uint64_t state, std::string_view data);
+
+/// The SplitMix64 finisher StableHash64 applies to its FNV-1a state.
+uint64_t StableHashFinish(uint64_t fnv_state);
+
 /// Combines two hashes (boost::hash_combine style, 64-bit).
 uint64_t HashCombine(uint64_t a, uint64_t b);
 

@@ -93,16 +93,18 @@ bool SurfaceConditionMatch(const corpus::Document& doc, const OpArgs& args) {
 StatusOr<DocList> LlmFilterDocs(const DocList& docs, const OpArgs& args,
                                 ExecContext& ctx, OpStats& stats) {
   DocList kept;
+  // The prompt is built once; only the items change per batch.
+  llm::LlmCall call;
+  call.type = llm::PromptType::kEvalPredicate;
+  call.tier = llm::ModelTier::kWorker;
+  for (const char* key :
+       {"kind", "phrase", "attribute", "cmp", "value", "value2",
+        "condition"}) {
+    auto it = args.find(key);
+    if (it != args.end()) call.fields[key] = it->second;
+  }
   for (const auto& batch : BatchDocs(docs, ctx)) {
-    llm::LlmCall call;
-    call.type = llm::PromptType::kEvalPredicate;
-    call.tier = llm::ModelTier::kWorker;
-    for (const char* key :
-         {"kind", "phrase", "attribute", "cmp", "value", "value2",
-          "condition"}) {
-      auto it = args.find(key);
-      if (it != args.end()) call.fields[key] = it->second;
-    }
+    call.items.clear();
     for (uint64_t id : batch) call.items.push_back(std::to_string(id));
     llm::LlmResult result = ctx.llm->Call(call);
     if (!result.status.ok()) return result.status;
@@ -157,11 +159,12 @@ StatusOr<std::vector<std::string>> LlmClassifyDocs(const DocList& docs,
                                                    OpStats& stats) {
   std::vector<std::string> labels;
   labels.reserve(docs.size());
+  llm::LlmCall call;
+  call.type = llm::PromptType::kClassifyDoc;
+  call.tier = llm::ModelTier::kWorker;
+  call.fields["by"] = by;
   for (const auto& batch : BatchDocs(docs, ctx)) {
-    llm::LlmCall call;
-    call.type = llm::PromptType::kClassifyDoc;
-    call.tier = llm::ModelTier::kWorker;
-    call.fields["by"] = by;
+    call.items.clear();
     for (uint64_t id : batch) call.items.push_back(std::to_string(id));
     llm::LlmResult result = ctx.llm->Call(call);
     if (!result.status.ok()) return result.status;
@@ -190,11 +193,12 @@ StatusOr<std::vector<double>> LlmExtractValues(const DocList& docs,
                                                OpStats& stats) {
   std::vector<double> values;
   values.reserve(docs.size());
+  llm::LlmCall call;
+  call.type = llm::PromptType::kExtractValue;
+  call.tier = llm::ModelTier::kWorker;
+  call.fields["attribute"] = attribute;
   for (const auto& batch : BatchDocs(docs, ctx)) {
-    llm::LlmCall call;
-    call.type = llm::PromptType::kExtractValue;
-    call.tier = llm::ModelTier::kWorker;
-    call.fields["attribute"] = attribute;
+    call.items.clear();
     for (uint64_t id : batch) call.items.push_back(std::to_string(id));
     llm::LlmResult result = ctx.llm->Call(call);
     if (!result.status.ok()) return result.status;

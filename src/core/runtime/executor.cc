@@ -40,7 +40,9 @@ std::string FormatReplan(const ReplanRecord& record) {
 }
 
 void PlanExecutor::Begin(const PhysicalPlan& plan, ExecutionState& state,
-                         Trace* trace, SpanId parent) {
+                         Trace* trace, SpanId parent,
+                         exec::VirtualLlmPool* shared_pool,
+                         double start_seconds) {
   state.plan = plan;
   state.trace = trace;
   state.exec_span =
@@ -52,13 +54,13 @@ void PlanExecutor::Begin(const PhysicalPlan& plan, ExecutionState& state,
   state.node_spans.assign(plan.nodes.size(), kNoSpan);
   state.done.assign(plan.nodes.size(), false);
   state.replan_checked.assign(plan.nodes.size(), false);
-  const bool shared = options_.shared_pool != nullptr;
-  state.base = shared ? options_.start_seconds : 0.0;
+  const bool shared = shared_pool != nullptr;
+  state.base = shared ? start_seconds : 0.0;
   if (!shared) {
     state.local_pool = std::make_unique<exec::VirtualLlmPool>(
         std::max(1, options_.num_servers));
   }
-  state.pool = shared ? options_.shared_pool : state.local_pool.get();
+  state.pool = shared ? shared_pool : state.local_pool.get();
   state.scheduler.emplace(state.plan.dag, state.pool, !options_.parallel,
                           state.base);
 }
@@ -269,7 +271,8 @@ void PlanExecutor::ApplyReplan(ExecutionState& state, ReplanRecord record,
   state.replans.push_back(std::move(record));
 }
 
-ExecutionResult PlanExecutor::Finish(ExecutionState& state) {
+ExecutionResult PlanExecutor::Finish(ExecutionState& state,
+                                     bool graceful_degradation) {
   ExecutionResult result;
   ScopedSpan& exec_span = *state.exec_span;
   Trace* trace = state.trace;
@@ -439,7 +442,7 @@ ExecutionResult PlanExecutor::Finish(ExecutionState& state) {
     // failure that survived retries, plan adjustment AND the fallback
     // replan becomes a degraded (partial/empty) answer instead of a
     // failed query, when the caller opted in.
-    if (options_.graceful_degradation &&
+    if (graceful_degradation &&
         llm::IsTransientLlmFailure(state.run_status)) {
       result.degraded = true;
       result.degraded_detail =

@@ -32,7 +32,7 @@ struct ExecutionResult {
   bool adjusted = false;
   /// True when graceful degradation absorbed a terminal transient failure:
   /// `status` is OK, the answer is partial/empty, and `degraded_detail`
-  /// names the failure (Options::graceful_degradation must be set).
+  /// names the failure (Finish's graceful_degradation must be set).
   bool degraded = false;
   std::string degraded_detail;
   /// Human-readable execution timeline: one line per operator with its
@@ -170,21 +170,6 @@ class PlanExecutor {
     /// Replan pauses per query (each costs one planner-tier decision
     /// call).
     int max_reoptimizations = 2;
-    /// Shared virtual LLM server pool (a UnifyService serving session):
-    /// this plan's operator streams compete with every other in-flight
-    /// query's streams, so the reported virtual times include cross-query
-    /// queueing. Null = a fresh private pool of `num_servers` (the
-    /// standalone one-query-at-a-time model). Must outlive the executor.
-    exec::VirtualLlmPool* shared_pool = nullptr;
-    /// Absolute virtual time at which the plan becomes ready on
-    /// `shared_pool` (the query's arrival + planning time). Ignored for a
-    /// private pool, which always starts at 0.
-    double start_seconds = 0;
-    /// When the DAG fails with a *transient* LLM failure
-    /// (llm::IsTransientLlmFailure) that even the Section V-D fallback
-    /// replan could not cure, finish with ExecutionResult::degraded and an
-    /// empty answer instead of a failed status (docs/resilience.md).
-    bool graceful_degradation = false;
   };
 
   /// Everything one plan execution carries across the staged engine's
@@ -239,8 +224,19 @@ class PlanExecutor {
   /// an "execute" span (child of `parent`) is recorded with one
   /// "exec.node" span per DAG node, annotated by Finish() with the node's
   /// virtual-time interval on the simulated server pool.
+  ///
+  /// `shared_pool` is the virtual LLM server pool of a UnifyService
+  /// serving session: this plan's operator streams compete with every
+  /// other in-flight query's, so the reported virtual times include
+  /// cross-query queueing; it must outlive the execution. The plan
+  /// becomes ready on it at `start_seconds` (the query's arrival +
+  /// planning time). Null = a fresh private pool of
+  /// Options::num_servers starting at 0 (the standalone
+  /// one-query-at-a-time model).
   void Begin(const PhysicalPlan& plan, ExecutionState& state,
-             Trace* trace = nullptr, SpanId parent = kNoSpan);
+             Trace* trace = nullptr, SpanId parent = kNoSpan,
+             exec::VirtualLlmPool* shared_pool = nullptr,
+             double start_seconds = 0);
 
   /// Executes nodes one at a time in the dispatch order of the list
   /// scheduler (exec::ListScheduler) until
@@ -262,8 +258,13 @@ class PlanExecutor {
   /// Assembles the ExecutionResult (converting the answer variable to an
   /// Answer): totals (including replan decision charges), the timeline
   /// with replan markers, the Section V-D fallback and graceful
-  /// degradation.
-  ExecutionResult Finish(ExecutionState& state);
+  /// degradation. With `graceful_degradation`
+  /// (UnifyOptions::graceful_degradation), a DAG that failed with a
+  /// *transient* LLM failure (llm::IsTransientLlmFailure) even the
+  /// fallback could not cure finishes degraded with an empty answer
+  /// instead of a failed status (docs/resilience.md).
+  ExecutionResult Finish(ExecutionState& state,
+                         bool graceful_degradation = false);
 
   /// After execution, per-node measured stats (for cost-model feedback).
   const std::vector<OpStats>& node_stats() const { return node_stats_; }

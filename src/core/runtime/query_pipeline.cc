@@ -155,23 +155,22 @@ void QueryPipeline::ExecutePlan() {
   // executor runs under the same intra-operator parallelism.
   eopts.max_intra_op_parallelism =
       std::max(1, eopts.max_intra_op_parallelism);
-  eopts.shared_pool = shared_pool_;
-  // Execution streams become ready once planning finishes on the virtual
-  // clock (planning runs on the planner tier, not the worker pool).
-  eopts.start_seconds = result.arrival_seconds + result.plan_seconds;
-  eopts.graceful_degradation = system_.options_.graceful_degradation;
   PlanExecutor executor(ectx, eopts);
 
   // The resumable engine (docs/replanning.md): execute one node at a time
   // in virtual dispatch order; with re-optimization on, pause at
   // materialization points whose observed cardinality diverges from the
-  // estimate and re-optimize the un-executed suffix there.
+  // estimate and re-optimize the un-executed suffix there. Execution
+  // streams become ready once planning finishes on the virtual clock
+  // (planning runs on the planner tier, not the worker pool).
   PlanExecutor::ExecutionState state;
-  executor.Begin(*ctx_.physical, state, ctx_.trace.get(), root_->id());
+  executor.Begin(*ctx_.physical, state, ctx_.trace.get(), root_->id(),
+                 shared_pool_, result.arrival_seconds + result.plan_seconds);
   while (auto request = executor.Run(state)) {
     ConsiderReplan(*request, executor, state);
   }
-  ExecutionResult exec = executor.Finish(state);
+  ExecutionResult exec =
+      executor.Finish(state, system_.options_.graceful_degradation);
   result.replans = state.replans;
   result.exec_seconds = exec.virtual_seconds;
   result.exec_dollars = exec.llm_dollars_total;

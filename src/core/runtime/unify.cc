@@ -47,7 +47,7 @@ Status UnifySystem::Setup() {
   // record zero-cost samples into the cost model (changing plan choice
   // depending on whether the cache is on — exactly the coupling the
   // byte-identity guarantee forbids).
-  llm::SharedCacheLlmClient::ScopedUse setup_cache_off(false);
+  llm::SharedCacheLlmClient::ScopedBypass setup_cache_off;
 
   // --- Operator indexing: embed every logical representation offline ---
   matcher_ = std::make_unique<OperatorMatcher>(&registry_, /*dim=*/48,

@@ -56,6 +56,7 @@ enum class PromptType {
   /// Query decomposition into sub-queries (RecurRAG baseline).
   kDecompose,
   /// Pick the best of several candidate answers (Exhaust baseline).
+  /// Keep last: per-type tables (tracing_client.cc) run up to it.
   kSelectAnswer,
 };
 

@@ -1,6 +1,9 @@
 #include "llm/shared_cache.h"
 
 #include <algorithm>
+#include <bit>
+#include <iterator>
+#include <tuple>
 #include <utility>
 
 #include "common/metrics.h"
@@ -30,14 +33,29 @@ std::string FieldsKey(const LlmCall& call) {
 /// bookkeeping); only the *relative* bytes accounting needs to be sane.
 constexpr size_t kEntryOverheadBytes = 64;
 
-/// Thread-local override installed by SharedCacheLlmClient::ScopedUse:
-/// 0 = no override (use the client default), +1 = force on, -1 = force off.
-thread_local int tls_cache_use = 0;
+/// The fields table is swept no more often than this many records.
+constexpr size_t kMinFieldsSweep = 64;
+
+/// Set while a SharedCacheLlmClient::ScopedBypass is alive on the thread.
+thread_local bool tls_bypass = false;
+
+/// Drops the call's reference on its fields record on every return path.
+template <typename Fields>
+class FieldsRef {
+ public:
+  explicit FieldsRef(Fields* fields) : fields_(fields) {}
+  ~FieldsRef() { --fields_->refs; }
+  FieldsRef(const FieldsRef&) = delete;
+  FieldsRef& operator=(const FieldsRef&) = delete;
+
+ private:
+  Fields* fields_;
+};
 
 }  // namespace
 
 SharedLlmCache::SharedLlmCache(SharedLlmCacheOptions options)
-    : options_(std::move(options)) {
+    : options_(std::move(options)), fields_sweep_at_(kMinFieldsSweep) {
   const size_t shards =
       static_cast<size_t>(std::max(1, options_.num_shards));
   shards_.reserve(shards);
@@ -63,39 +81,114 @@ bool SharedLlmCache::Cacheable(PromptType type) {
   }
 }
 
-SharedLlmCache::Shard& SharedLlmCache::ShardFor(const std::string& key) {
-  return *shards_[StableHash64(key) % shards_.size()];
+SharedLlmCache::EntryIt SharedLlmCache::EntryIndex::Find(
+    const Key& key) const {
+  if (size_ == 0) return none_;
+  for (size_t i = Home(key.hash);; i = Next(i)) {
+    const Slot& slot = slots_[i];
+    if (slot.entry == none_) return none_;
+    if (slot.hash == key.hash && slot.entry->fields == key.fields &&
+        slot.entry->item == key.item) {
+      return slot.entry;
+    }
+  }
 }
 
-const SharedLlmCache::Shard& SharedLlmCache::ShardFor(
-    const std::string& key) const {
-  return *shards_[StableHash64(key) % shards_.size()];
+void SharedLlmCache::EntryIndex::Place(const Slot& slot) {
+  size_t i = Home(slot.hash);
+  while (slots_[i].entry != none_) i = Next(i);
+  slots_[i] = slot;
 }
 
-int64_t SharedLlmCache::AdmitLocked(Shard& shard, const std::string& key,
+void SharedLlmCache::EntryIndex::Insert(EntryIt entry) {
+  if (2 * (size_ + 1) > slots_.size()) {
+    std::vector<Slot> old = std::move(slots_);
+    const size_t capacity = std::max<size_t>(16, 2 * old.size());
+    slots_.assign(capacity, Slot{0, none_});
+    shift_ = 64 - std::countr_zero(capacity);
+    for (const Slot& slot : old) {
+      if (slot.entry != none_) Place(slot);
+    }
+  }
+  Place(Slot{entry->hash, entry});
+  ++size_;
+}
+
+void SharedLlmCache::EntryIndex::Erase(EntryIt entry) {
+  size_t hole = Home(entry->hash);
+  while (slots_[hole].entry != entry) hole = Next(hole);
+  // Backward shift: move each later slot of the probe run into the hole
+  // unless its home lies cyclically in (hole, slot] — then it must stay.
+  for (size_t i = Next(hole); slots_[i].entry != none_; i = Next(i)) {
+    const size_t home = Home(slots_[i].hash);
+    const bool stays =
+        hole <= i ? (hole < home && home <= i) : (hole < home || home <= i);
+    if (!stays) {
+      slots_[hole] = slots_[i];
+      hole = i;
+    }
+  }
+  slots_[hole].entry = none_;
+  --size_;
+}
+
+void SharedLlmCache::EntryIndex::Clear() {
+  slots_ = {};
+  size_ = 0;
+  shift_ = 64;
+}
+
+SharedLlmCache::Fields* SharedLlmCache::AcquireFields(
+    const std::string& fields_key) {
+  std::lock_guard<std::mutex> lock(fields_mu_);
+  auto [it, inserted] = fields_.try_emplace(fields_key);
+  // References only rise from zero under fields_mu_ (here), so a sweep
+  // under the same lock never drops a record someone is about to use.
+  ++it->second.refs;
+  if (inserted && fields_.size() > fields_sweep_at_) {
+    SweepFieldsLocked();
+    fields_sweep_at_ = std::max(kMinFieldsSweep, 2 * fields_.size());
+  }
+  return &it->second;
+}
+
+void SharedLlmCache::SweepFieldsLocked() {
+  std::erase_if(fields_, [](const auto& record) {
+    return record.second.refs == 0;
+  });
+}
+
+int64_t SharedLlmCache::AdmitLocked(Shard& shard, const Key& key,
+                                    size_t fields_bytes,
                                     const std::string& value,
                                     double dollars_share,
                                     std::unique_ptr<Origin> origin) {
-  auto it = shard.index.find(key);
-  if (it != shard.index.end()) {
+  const EntryIt resident = shard.index.Find(key);
+  if (resident != shard.lru.end()) {
     // Another leader of the same key (coalescing off, or a re-elected
     // round) got here first; refresh recency, keep its value — both
     // leaders derived it from the same pure function.
-    shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
+    shard.lru.splice(shard.lru.begin(), shard.lru, resident);
     return 0;
   }
   Entry entry;
-  entry.key = key;
+  entry.fields = key.fields;
+  entry.item = key.item;
+  entry.hash = key.hash;
   entry.value = value;
   entry.dollars = dollars_share;
-  entry.bytes = 2 * key.size() + value.size() + kEntryOverheadBytes;
+  // The size of the joined FieldsKey + item string stored twice: the
+  // charge docs/caching.md fixes, so byte bounds keep their meaning.
+  entry.bytes =
+      2 * (fields_bytes + key.item.size()) + value.size() + kEntryOverheadBytes;
   entry.origin = std::move(origin);
+  ++key.fields->refs;
   shard.bytes += entry.bytes;
   bytes_.fetch_add(static_cast<int64_t>(entry.bytes),
                    std::memory_order_relaxed);
   entries_.fetch_add(1, std::memory_order_relaxed);
   shard.lru.push_front(std::move(entry));
-  shard.index[key] = shard.lru.begin();
+  shard.index.Insert(shard.lru.begin());
 
   // Evict the LRU tail while either per-shard bound is exceeded. The
   // guard keeps at least the entry just admitted so a single oversized
@@ -110,7 +203,8 @@ int64_t SharedLlmCache::AdmitLocked(Shard& shard, const std::string& key,
     bytes_.fetch_sub(static_cast<int64_t>(victim.bytes),
                      std::memory_order_relaxed);
     entries_.fetch_sub(1, std::memory_order_relaxed);
-    shard.index.erase(victim.key);
+    shard.index.Erase(std::prev(shard.lru.end()));
+    --victim.fields->refs;
     shard.lru.pop_back();
     ++evicted;
   }
@@ -119,25 +213,43 @@ int64_t SharedLlmCache::AdmitLocked(Shard& shard, const std::string& key,
 }
 
 LlmResult SharedLlmCache::CallThrough(LlmClient* base, const LlmCall& call) {
+  // String work is per call: one FieldsKey, one FNV-1a pass over it, one
+  // fields-table lookup. Per item: the hash continued over the item.
   const std::string fields_key = FieldsKey(call);
+  const uint64_t prefix_state = Fnv1aContinue(kFnv1aOffsetBasis, fields_key);
+  Fields* fields = AcquireFields(fields_key);
+  const FieldsRef<Fields> fields_ref(fields);
 
-  std::vector<std::string> results(call.items.size());
-  // Duplicate items inside one call resolve through one representative
-  // index (a call must not follow its own in-flight record).
-  std::unordered_map<std::string, size_t> representative;
-  std::vector<std::pair<size_t, size_t>> duplicates;  // (dup, rep)
+  const size_t n = call.items.size();
+  std::vector<uint64_t> hashes(n);
+  for (size_t i = 0; i < n; ++i) {
+    hashes[i] = StableHashFinish(Fnv1aContinue(prefix_state, call.items[i]));
+  }
+  auto key = [&](size_t i) { return Key{fields, call.items[i], hashes[i]}; };
+
+  // Duplicate items inside one call resolve through their first
+  // occurrence (a call must not follow its own in-flight record). Sorting
+  // indices by (hash, item, index) puts each run of equal items together,
+  // first occurrence first.
+  std::vector<uint32_t> order(n);
+  for (size_t i = 0; i < n; ++i) order[i] = static_cast<uint32_t>(i);
+  std::sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
+    return std::tie(hashes[a], call.items[a], a) <
+           std::tie(hashes[b], call.items[b], b);
+  });
+  std::vector<uint32_t> representative(n);
+  for (size_t k = 0; k < n; ++k) {
+    const uint32_t i = order[k];
+    const bool repeat = k > 0 && call.items[order[k - 1]] == call.items[i];
+    representative[i] = repeat ? representative[order[k - 1]] : i;
+  }
   std::vector<size_t> pending;
-  std::vector<std::string> keys(call.items.size());
-  for (size_t i = 0; i < call.items.size(); ++i) {
-    keys[i] = fields_key + call.items[i];
-    auto [it, inserted] = representative.emplace(keys[i], i);
-    if (inserted) {
-      pending.push_back(i);
-    } else {
-      duplicates.emplace_back(i, it->second);
-    }
+  pending.reserve(n);
+  for (size_t i = 0; i < n; ++i) {
+    if (representative[i] == i) pending.push_back(i);
   }
 
+  std::vector<std::string> results(n);
   int64_t hits = 0, misses = 0, coalesced = 0, evictions = 0;
   double saved = 0;
   LlmResult merged;
@@ -154,24 +266,25 @@ LlmResult SharedLlmCache::CallThrough(LlmClient* base, const LlmCall& call) {
     std::vector<std::shared_ptr<Inflight>> lead_records;
     std::vector<std::pair<size_t, std::shared_ptr<Inflight>>> follows;
     for (size_t i : pending) {
-      Shard& shard = ShardFor(keys[i]);
+      Shard& shard = ShardFor(hashes[i]);
       std::lock_guard<std::mutex> lock(shard.mu);
-      auto hit = shard.index.find(keys[i]);
-      if (hit != shard.index.end()) {
-        shard.lru.splice(shard.lru.begin(), shard.lru, hit->second);
-        results[i] = hit->second->value;
-        saved += hit->second->dollars;
+      const EntryIt hit = shard.index.Find(key(i));
+      if (hit != shard.lru.end()) {
+        shard.lru.splice(shard.lru.begin(), shard.lru, hit);
+        results[i] = hit->value;
+        saved += hit->dollars;
         ++hits;
         continue;
       }
       if (options_.coalesce) {
-        auto inflight = shard.inflight.find(keys[i]);
+        auto inflight = shard.inflight.find(key(i));
         if (inflight != shard.inflight.end()) {
           follows.emplace_back(i, inflight->second);
           continue;
         }
         auto record = std::make_shared<Inflight>();
-        shard.inflight[keys[i]] = record;
+        record->item = call.items[i];
+        shard.inflight.emplace(Key{fields, record->item, hashes[i]}, record);
         lead_records.push_back(std::move(record));
       }
       lead.push_back(i);
@@ -197,10 +310,10 @@ LlmResult SharedLlmCache::CallThrough(LlmClient* base, const LlmCall& call) {
             origin = std::make_unique<Origin>(
                 Origin{call.type, call.tier, call.fields, call.items[i]});
           }
-          Shard& shard = ShardFor(keys[i]);
+          Shard& shard = ShardFor(hashes[i]);
           std::lock_guard<std::mutex> lock(shard.mu);
-          evictions += AdmitLocked(shard, keys[i], fresh.items[j], share,
-                                   std::move(origin));
+          evictions += AdmitLocked(shard, key(i), fields_key.size(),
+                                   fresh.items[j], share, std::move(origin));
         }
       }
       // Release the in-flight records whether or not the call succeeded:
@@ -208,9 +321,9 @@ LlmResult SharedLlmCache::CallThrough(LlmClient* base, const LlmCall& call) {
       for (size_t j = 0; j < lead_records.size(); ++j) {
         const size_t i = lead[j];
         {
-          Shard& shard = ShardFor(keys[i]);
+          Shard& shard = ShardFor(hashes[i]);
           std::lock_guard<std::mutex> lock(shard.mu);
-          shard.inflight.erase(keys[i]);
+          shard.inflight.erase(key(i));
         }
         Inflight& record = *lead_records[j];
         std::lock_guard<std::mutex> lock(record.mu);
@@ -268,9 +381,11 @@ LlmResult SharedLlmCache::CallThrough(LlmClient* base, const LlmCall& call) {
     pending = std::move(next_pending);
   }
 
-  for (const auto& [dup, rep] : duplicates) {
-    results[dup] = results[rep];
-    ++hits;
+  for (size_t i = 0; i < n; ++i) {
+    if (representative[i] != i) {
+      results[i] = results[representative[i]];
+      ++hits;
+    }
   }
 
   Commit(hits, misses, coalesced, evictions, saved);
@@ -321,8 +436,11 @@ CacheStats SharedLlmCache::stats() const {
 void SharedLlmCache::Clear() {
   for (auto& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard->mu);
+    for (const Entry& entry : shard->lru) {
+      --entry.fields->refs;
+    }
     shard->lru.clear();
-    shard->index.clear();
+    shard->index.Clear();
     shard->bytes = 0;
     // In-flight records stay: their leaders complete and re-admit.
   }
@@ -333,6 +451,12 @@ void SharedLlmCache::Clear() {
   entries_.store(0, std::memory_order_relaxed);
   bytes_.store(0, std::memory_order_relaxed);
   saved_dollars_.store(0, std::memory_order_relaxed);
+  {
+    // Only the fields of calls still in progress survive.
+    std::lock_guard<std::mutex> lock(fields_mu_);
+    SweepFieldsLocked();
+    fields_sweep_at_ = kMinFieldsSweep;
+  }
   MetricSetGauge(telemetry::kMetricLlmCacheBytes, 0);
 }
 
@@ -365,24 +489,19 @@ int64_t SharedLlmCache::Validate(LlmClient* oracle) const {
 }
 
 LlmResult SharedCacheLlmClient::Call(const LlmCall& call) {
-  if (!EnabledOnThisThread() || !SharedLlmCache::Cacheable(call.type) ||
+  if (!enabled_ || tls_bypass || !SharedLlmCache::Cacheable(call.type) ||
       call.items.empty()) {
     return base_->Call(call);
   }
   return cache_->CallThrough(base_, call);
 }
 
-bool SharedCacheLlmClient::EnabledOnThisThread() const {
-  if (tls_cache_use > 0) return true;
-  if (tls_cache_use < 0) return false;
-  return default_enabled_;
+SharedCacheLlmClient::ScopedBypass::ScopedBypass() : previous_(tls_bypass) {
+  tls_bypass = true;
 }
 
-SharedCacheLlmClient::ScopedUse::ScopedUse(bool enabled)
-    : previous_(tls_cache_use) {
-  tls_cache_use = enabled ? 1 : -1;
+SharedCacheLlmClient::ScopedBypass::~ScopedBypass() {
+  tls_bypass = previous_;
 }
-
-SharedCacheLlmClient::ScopedUse::~ScopedUse() { tls_cache_use = previous_; }
 
 }  // namespace unify::llm

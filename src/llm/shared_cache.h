@@ -9,6 +9,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -59,6 +60,13 @@ struct CacheStats {
 /// bounded LRU over per-document completions keyed by (prompt type,
 /// prompt fields, item), with singleflight in-flight coalescing.
 ///
+/// Keys: a call's type and fields are one FieldsKey string, interned once
+/// per call in a cache-wide table whose record is the call's "fields id";
+/// an entry is keyed by (fields id, item). The string work is per call;
+/// per item there is only the hash, continued from the FieldsKey's FNV-1a
+/// state over the item's bytes — equal to StableHash64(FieldsKey + item),
+/// the shard route.
+///
 /// Soundness rests on one invariant: a per-document completion is a pure
 /// function of the (condition, document) pair at temperature 0, so any two
 /// calls that agree on type, fields and item must agree on the item's
@@ -79,6 +87,7 @@ struct CacheStats {
 ///
 /// Thread-safe. Locks are per shard and never held across a base call
 /// or a follower wait, so leaders of different keys proceed in parallel.
+/// A call also takes the fields table's lock once, to intern its fields.
 class SharedLlmCache {
  public:
   explicit SharedLlmCache(SharedLlmCacheOptions options);
@@ -118,8 +127,38 @@ class SharedLlmCache {
     std::string item;
   };
 
+  /// One distinct FieldsKey string (prompt type + fields) in the
+  /// cache-wide fields table. Its address is the "fields id" of every
+  /// entry and in-flight record made from it. `refs` counts resident
+  /// entries plus calls in progress; a record at zero is swept.
+  struct Fields {
+    std::atomic<int64_t> refs{0};
+  };
+
+  /// An entry's identity: (fields id, item). `hash` is
+  /// StableHash64(FieldsKey + item) — the shard route and the index
+  /// home — but equality never compares a joined string. The item views
+  /// storage owned by the in-flight record or the call.
+  struct Key {
+    Fields* fields;
+    std::string_view item;
+    uint64_t hash;
+  };
+  struct KeyHash {
+    size_t operator()(const Key& key) const {
+      return static_cast<size_t>(key.hash);
+    }
+  };
+  struct KeyEq {
+    bool operator()(const Key& a, const Key& b) const {
+      return a.hash == b.hash && a.fields == b.fields && a.item == b.item;
+    }
+  };
+
   struct Entry {
-    std::string key;
+    Fields* fields = nullptr;
+    std::string item;
+    uint64_t hash = 0;
     std::string value;
     /// Pro-rata dollar share of the base call that produced the value
     /// (feeds CacheStats::saved_dollars on each hit).
@@ -127,10 +166,49 @@ class SharedLlmCache {
     size_t bytes = 0;
     std::unique_ptr<Origin> origin;
   };
+  using EntryIt = std::list<Entry>::iterator;
+
+  /// A shard's index of its entries: open addressing with linear probing
+  /// over a power-of-two array of (hash, entry) slots, at most half full
+  /// and homed by the hash's top bits (the low bits route shards). A hit
+  /// reads one slot and the entry it points to. Erase shifts the slots
+  /// after it back, so no tombstones build up.
+  class EntryIndex {
+   public:
+    /// `none` (the shard list's end()) marks empty slots and misses.
+    explicit EntryIndex(EntryIt none) : none_(none) {}
+
+    /// The entry with `key`, or `none`.
+    EntryIt Find(const Key& key) const;
+    /// Adds `entry`, whose key is absent.
+    void Insert(EntryIt entry);
+    /// Removes `entry`, which is present.
+    void Erase(EntryIt entry);
+    void Clear();
+
+   private:
+    struct Slot {
+      uint64_t hash;
+      EntryIt entry;
+    };
+    size_t Home(uint64_t hash) const { return hash >> shift_; }
+    size_t Next(size_t slot) const {
+      return (slot + 1) & (slots_.size() - 1);
+    }
+    /// Places `slot` in the first empty slot from its home.
+    void Place(const Slot& slot);
+
+    EntryIt none_;
+    std::vector<Slot> slots_;
+    size_t size_ = 0;
+    int shift_ = 64;
+  };
 
   /// One singleflight record: followers block on `cv` until the leader
   /// completes the base call (ok) or fails (not ok — followers re-elect).
   struct Inflight {
+    /// Backs the in-flight map's key.
+    std::string item;
     std::mutex mu;
     std::condition_variable cv;
     bool done = false;
@@ -145,17 +223,26 @@ class SharedLlmCache {
     std::mutex mu;
     /// LRU order, most recent first.
     std::list<Entry> lru;
-    std::unordered_map<std::string, std::list<Entry>::iterator> index;
-    std::unordered_map<std::string, std::shared_ptr<Inflight>> inflight;
+    EntryIndex index{lru.end()};
+    std::unordered_map<Key, std::shared_ptr<Inflight>, KeyHash, KeyEq>
+        inflight;
     size_t bytes = 0;
   };
 
-  Shard& ShardFor(const std::string& key);
-  const Shard& ShardFor(const std::string& key) const;
+  Shard& ShardFor(uint64_t hash) { return *shards_[hash % shards_.size()]; }
+
+  /// Interns `fields_key` in the fields table and takes one reference
+  /// for the calling CallThrough, which drops it on return. The one lock
+  /// a call takes on the table.
+  Fields* AcquireFields(const std::string& fields_key);
+
+  /// Drops the fields records no entry or call references (fields_mu_).
+  void SweepFieldsLocked();
 
   /// Inserts (or refreshes) `key` and evicts past the per-shard bounds.
-  /// Returns the number of evictions. Caller holds `shard.mu`.
-  int64_t AdmitLocked(Shard& shard, const std::string& key,
+  /// `fields_bytes` is the size of the key's FieldsKey string. Returns
+  /// the number of evictions. Caller holds `shard.mu`.
+  int64_t AdmitLocked(Shard& shard, const Key& key, size_t fields_bytes,
                       const std::string& value, double dollars_share,
                       std::unique_ptr<Origin> origin);
 
@@ -169,6 +256,15 @@ class SharedLlmCache {
   size_t max_entries_per_shard_ = 0;  ///< 0 = unbounded
   size_t max_bytes_per_shard_ = 0;    ///< 0 = unbounded
   std::vector<std::unique_ptr<Shard>> shards_;
+
+  /// The fields table: each distinct FieldsKey stored once. Records are
+  /// node-stable, so their addresses serve as ids. Swept of unreferenced
+  /// records whenever it doubles past its size after the last sweep, so
+  /// it holds at most twice the records that were live then (resident
+  /// entries' fields plus calls in progress), or kMinFieldsSweep.
+  std::mutex fields_mu_;
+  std::unordered_map<std::string, Fields> fields_;
+  size_t fields_sweep_at_;
 
   std::atomic<int64_t> item_hits_{0};
   std::atomic<int64_t> item_misses_{0};
@@ -192,11 +288,10 @@ class SharedLlmCache {
 /// including zero-cost hits.
 class SharedCacheLlmClient : public LlmClient {
  public:
-  /// `base` and `cache` must outlive the client. `default_enabled` is
-  /// the system-wide setting (UnifyOptions::cache.enabled).
-  SharedCacheLlmClient(LlmClient* base, SharedLlmCache* cache,
-                       bool default_enabled)
-      : base_(base), cache_(cache), default_enabled_(default_enabled) {}
+  /// `base` and `cache` must outlive the client. `enabled` is the
+  /// system-wide setting (UnifyOptions::cache.enabled).
+  SharedCacheLlmClient(LlmClient* base, SharedLlmCache* cache, bool enabled)
+      : base_(base), cache_(cache), enabled_(enabled) {}
 
   LlmResult Call(const LlmCall& call) override;
 
@@ -204,27 +299,25 @@ class SharedCacheLlmClient : public LlmClient {
   LlmUsage usage() const override { return base_->usage(); }
   void ResetUsage() override { base_->ResetUsage(); }
 
-  /// RAII thread-local override of the client's default enablement
-  /// (mirrors RetryBudget::ScopedUse / MetricsRegistry::ScopedSink):
-  /// UnifySystem::Setup() installs ScopedUse(false) so calibration always
-  /// measures real per-call costs, without touching concurrent callers.
-  class ScopedUse {
+  /// RAII bypass of every SharedCacheLlmClient on the calling thread:
+  /// calls pass straight to the base client, as with the cache disabled.
+  /// UnifySystem::Setup() installs one so calibration always measures
+  /// real per-call costs, without touching concurrent callers. Nests.
+  class ScopedBypass {
    public:
-    explicit ScopedUse(bool enabled);
-    ~ScopedUse();
-    ScopedUse(const ScopedUse&) = delete;
-    ScopedUse& operator=(const ScopedUse&) = delete;
+    ScopedBypass();
+    ~ScopedBypass();
+    ScopedBypass(const ScopedBypass&) = delete;
+    ScopedBypass& operator=(const ScopedBypass&) = delete;
 
    private:
-    int previous_;
+    bool previous_;
   };
 
  private:
-  bool EnabledOnThisThread() const;
-
   LlmClient* base_;
   SharedLlmCache* cache_;
-  bool default_enabled_;
+  bool enabled_;
 };
 
 }  // namespace unify::llm

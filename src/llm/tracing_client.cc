@@ -1,6 +1,7 @@
 #include "llm/tracing_client.h"
 
 #include <string>
+#include <vector>
 
 #include "common/metrics.h"
 #include "common/telemetry_names.h"
@@ -45,16 +46,42 @@ const char* PromptTypeName(PromptType type) {
   return "unknown";
 }
 
+namespace {
+
+/// The five per-type counter names of one PromptType.
+struct TypeMetricNames {
+  std::string calls, in_tokens, out_tokens, seconds, dollars;
+};
+
+/// Per-type metric names, built once and indexed by PromptType.
+const std::vector<TypeMetricNames>& MetricNamesByType() {
+  static const std::vector<TypeMetricNames> names = [] {
+    std::vector<TypeMetricNames> table;
+    for (int t = 0; t <= static_cast<int>(PromptType::kSelectAnswer); ++t) {
+      const std::string suffix =
+          std::string(".") + PromptTypeName(static_cast<PromptType>(t));
+      table.push_back({telemetry::kMetricLlmCalls + suffix,
+                       telemetry::kMetricLlmInTokens + suffix,
+                       telemetry::kMetricLlmOutTokens + suffix,
+                       telemetry::kMetricLlmSeconds + suffix,
+                       telemetry::kMetricLlmDollars + suffix});
+    }
+    return table;
+  }();
+  return names;
+}
+
+}  // namespace
+
 LlmResult TracingLlmClient::Call(const LlmCall& call) {
   LlmResult result = base_->Call(call);
-  const std::string suffix = std::string(".") + PromptTypeName(call.type);
-  MetricAddCounter(telemetry::kMetricLlmCalls + suffix);
-  MetricAddCounter(telemetry::kMetricLlmInTokens + suffix,
-                     static_cast<double>(result.in_tokens));
-  MetricAddCounter(telemetry::kMetricLlmOutTokens + suffix,
-                     static_cast<double>(result.out_tokens));
-  MetricAddCounter(telemetry::kMetricLlmSeconds + suffix, result.seconds);
-  MetricAddCounter(telemetry::kMetricLlmDollars + suffix, result.dollars);
+  const TypeMetricNames& names =
+      MetricNamesByType()[static_cast<size_t>(call.type)];
+  MetricAddCounter(names.calls);
+  MetricAddCounter(names.in_tokens, static_cast<double>(result.in_tokens));
+  MetricAddCounter(names.out_tokens, static_cast<double>(result.out_tokens));
+  MetricAddCounter(names.seconds, result.seconds);
+  MetricAddCounter(names.dollars, result.dollars);
   MetricObserve(telemetry::kMetricLlmCallSeconds, result.seconds);
   return result;
 }

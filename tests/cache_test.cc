@@ -4,9 +4,11 @@
 // byte-identical answers with the cache on/off at parallelism 1 and 4.
 // The concurrent cases double as the TSAN target (scripts/check.sh).
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <future>
+#include <list>
 #include <map>
 #include <string>
 #include <thread>
@@ -15,6 +17,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/rng.h"
 #include "common/telemetry_names.h"
 #include "core/runtime/service.h"
 #include "corpus/dataset_profile.h"
@@ -88,7 +91,7 @@ LlmCall DocCall(std::vector<std::string> items,
 TEST(SharedCacheTest, HitsServeWithoutBaseCallAndChargeNothing) {
   CountingLlm base;
   SharedLlmCache cache(SharedLlmCacheOptions{});
-  SharedCacheLlmClient client(&base, &cache, /*default_enabled=*/true);
+  SharedCacheLlmClient client(&base, &cache, /*enabled=*/true);
 
   LlmResult first = client.Call(DocCall({"d1", "d2", "d3"}));
   ASSERT_TRUE(first.status.ok());
@@ -156,21 +159,23 @@ TEST(SharedCacheTest, UncacheableTypesAndDisabledThreadsPassThrough) {
   EXPECT_EQ(base.arrivals(), 2) << "planning prompts are never cached";
 
   {
-    SharedCacheLlmClient::ScopedUse off(false);
-    ASSERT_TRUE(client.Call(DocCall({"d1"})).status.ok());
+    SharedCacheLlmClient::ScopedBypass outer;
+    {
+      SharedCacheLlmClient::ScopedBypass nested;
+      ASSERT_TRUE(client.Call(DocCall({"d1"})).status.ok());
+    }
     ASSERT_TRUE(client.Call(DocCall({"d1"})).status.ok());
   }
-  EXPECT_EQ(base.arrivals(), 4) << "ScopedUse(false) must bypass the cache";
+  EXPECT_EQ(base.arrivals(), 4) << "ScopedBypass must bypass the cache";
   EXPECT_EQ(cache.stats().entries, 0);
 
-  // And the inverse: a default-disabled client with ScopedUse(true).
-  SharedCacheLlmClient dormant(&base, &cache, /*default_enabled=*/false);
-  {
-    SharedCacheLlmClient::ScopedUse on(true);
-    ASSERT_TRUE(dormant.Call(DocCall({"d2"})).status.ok());
-    ASSERT_TRUE(dormant.Call(DocCall({"d2"})).status.ok());
-  }
-  EXPECT_EQ(base.arrivals(), 5);
+  // A disabled client passes through too; the bypass ended with its scope.
+  SharedCacheLlmClient disabled(&base, &cache, /*enabled=*/false);
+  ASSERT_TRUE(disabled.Call(DocCall({"d2"})).status.ok());
+  EXPECT_EQ(cache.stats().entries, 0);
+  ASSERT_TRUE(client.Call(DocCall({"d2"})).status.ok());
+  ASSERT_TRUE(client.Call(DocCall({"d2"})).status.ok());
+  EXPECT_EQ(base.arrivals(), 6);
   EXPECT_EQ(cache.stats().item_hits, 1);
 }
 
@@ -223,6 +228,254 @@ TEST(SharedCacheTest, LruEvictionIsDeterministic) {
   EXPECT_EQ(stats2.item_misses, stats.item_misses);
   EXPECT_EQ(stats2.bytes, stats.bytes);
   EXPECT_EQ(arrivals2, arrivals);
+}
+
+TEST(SharedCacheTest, DistinctFieldsNeverShareAnEntry) {
+  // Joined as one "fields + item" string these two calls would be equal:
+  // the item of the first spells out the second's extra field.
+  CountingLlm base;
+  SharedLlmCache cache(SharedLlmCacheOptions{});
+  SharedCacheLlmClient client(&base, &cache, true);
+
+  LlmCall first = DocCall({std::string("b\x1fy\x1e") + "1"});
+  first.fields = {{"a", "x"}};
+  LlmCall second = DocCall({"1"});
+  second.fields = {{"a", "x"}, {"b", "y"}};
+
+  ASSERT_TRUE(client.Call(first).status.ok());
+  LlmResult r = client.Call(second);
+  ASSERT_TRUE(r.status.ok());
+  ASSERT_EQ(r.items.size(), 1u);
+  EXPECT_EQ(r.items[0], "value-of-1") << "served another call's completion";
+  EXPECT_EQ(base.arrivals(), 2);
+  EXPECT_EQ(cache.stats().item_hits, 0);
+  EXPECT_EQ(cache.stats().entries, 2);
+}
+
+/// A single-threaded base that records each call's items, returns
+/// "<field values>:<item>" completions and fails one scripted arrival.
+class RecordingLlm : public LlmClient {
+ public:
+  explicit RecordingLlm(int fail_arrival) : fail_arrival_(fail_arrival) {}
+
+  LlmResult Call(const LlmCall& call) override {
+    calls.push_back(call.items);
+    LlmResult r;
+    if (static_cast<int>(calls.size()) - 1 == fail_arrival_) {
+      r.status = Status::DeadlineExceeded("scripted transient failure");
+      return r;
+    }
+    std::string prefix;
+    for (const auto& [k, v] : call.fields) prefix += v + "/";
+    for (const auto& item : call.items) r.items.push_back(prefix + item);
+    r.seconds = 1.0;
+    r.dollars = 0.01 * static_cast<double>(call.items.size());
+    return r;
+  }
+  LlmUsage usage() const override { return {}; }
+  void ResetUsage() override {}
+
+  std::vector<std::vector<std::string>> calls;
+
+ private:
+  int fail_arrival_;
+};
+
+/// A base whose every call fails: probing through it tells resident
+/// entries (hits) from absent ones without admitting anything.
+class FailingLlm : public LlmClient {
+ public:
+  LlmResult Call(const LlmCall&) override {
+    LlmResult r;
+    r.status = Status::Internal("probe");
+    return r;
+  }
+  LlmUsage usage() const override { return {}; }
+  void ResetUsage() override {}
+};
+
+TEST(SharedCacheTest, AccessSequencePinned) {
+  // Five prompt shapes: three predicates (one long), an extraction and a
+  // classification. Items repeat across calls and inside calls.
+  std::vector<LlmCall> shapes(5);
+  shapes[0] = DocCall({}, "about tennis");
+  shapes[1] = DocCall({}, "about golf");
+  shapes[2] = DocCall({});
+  shapes[2].fields = {{"kind", "numeric"}, {"attribute", "age"},
+                      {"cmp", "between"}, {"value", "30"},
+                      {"value2", "45"}};
+  shapes[3].type = PromptType::kExtractValue;
+  shapes[3].fields = {{"attribute", "age"}};
+  shapes[4].type = PromptType::kClassifyDoc;
+  shapes[4].fields = {{"by", "sport"}};
+
+  struct Case {
+    int num_shards;
+    size_t max_entries;
+    size_t max_bytes;
+    const char* pattern;
+    const char* resident;
+    CacheStats stats;
+  };
+  const Case cases[] = {
+      {1, 12, 1400,
+       "M0 M0 MM0 MMMH0 M0 M0 MDM1 MMM!0 MDM1 MMDM4 M1 MMMMD4 MMMM7 MM1 "
+       "HMHD2 HMMDD2 MH1 MHHD1 MMDDH1 MMDM3 M1 MMHDMM2 M1 MM4 MMM1 MMM3 "
+       "HMMDDH2 HMDMDM1 H0 MMMDM4 H0 HMM3 HM1 MMM4 HHMDM1 MMMM8 MHMM4 MM1 "
+       "MMMMMM4 MMMM2 ",
+       "1:0 1:2 1:3 1:7 1:9 1:11 3:4 4:1 4:4 4:9 4:11 ",
+       {/*item_hits=*/37, /*item_misses=*/90, /*coalesced=*/0,
+        /*evictions=*/76, /*entries=*/11, /*bytes=*/1332,
+        /*saved_dollars=*/0.19}},
+      {16, 64, 16 * 260,
+       "M0 M0 MM0 MMMH0 M0 M0 MDM0 MMM!0 MDM0 MMDM1 M0 MMMMD4 HMMM4 MM0 "
+       "HMMD2 HMMDD1 MH0 MHMD2 MMDDH1 HMDM1 M1 MMHDMM3 M0 MM3 MMH2 MMM2 "
+       "HHMDDH1 HHDMDM0 H0 MHMDM2 H0 HHM0 HM1 MMM5 HHHDM1 HMMM3 MHMM4 MM2 "
+       "MHHMHH2 HMHH0 ",
+       "0:5 0:8 1:0 1:2 1:3 1:4 1:6 1:7 1:9 2:1 2:2 2:3 2:4 3:4 3:6 3:9 "
+       "3:11 4:0 4:1 4:4 4:5 4:7 4:9 4:10 4:11 ",
+       {/*item_hits=*/51, /*item_misses=*/76, /*coalesced=*/0,
+        /*evictions=*/48, /*entries=*/25, /*bytes=*/3386,
+        /*saved_dollars=*/0.33}},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE("num_shards=" + std::to_string(c.num_shards));
+    SharedLlmCacheOptions opts;
+    opts.num_shards = c.num_shards;
+    opts.max_entries = c.max_entries;
+    opts.max_bytes = c.max_bytes;
+    SharedLlmCache cache(opts);
+    RecordingLlm base(/*fail_arrival=*/7);
+    SharedCacheLlmClient client(&base, &cache, true);
+
+    // Per call: one letter per item (M = sent to the base, H = served
+    // from an entry, D = duplicate of an earlier item of the call), "!"
+    // for a failed call, then the evictions the call caused.
+    std::string pattern;
+    Rng rng(16);
+    for (int n = 0; n < 40; ++n) {
+      LlmCall call = shapes[rng.NextUint64(shapes.size())];
+      call.tier = ModelTier::kWorker;
+      const int64_t size = rng.UniformInt(1, 6);
+      for (int64_t k = 0; k < size; ++k) {
+        call.items.push_back("doc" + std::to_string(rng.UniformInt(0, 11)));
+      }
+      const size_t base_calls = base.calls.size();
+      const int64_t evictions = cache.stats().evictions;
+      LlmResult r = client.Call(call);
+      std::vector<std::string> sent;
+      if (base.calls.size() > base_calls) sent = base.calls.back();
+      size_t next_sent = 0;
+      for (size_t i = 0; i < call.items.size(); ++i) {
+        bool dup = false;
+        for (size_t j = 0; j < i; ++j) dup |= call.items[j] == call.items[i];
+        if (dup) {
+          pattern += 'D';
+        } else if (next_sent < sent.size() &&
+                   sent[next_sent] == call.items[i]) {
+          pattern += 'M';
+          ++next_sent;
+        } else {
+          pattern += 'H';
+        }
+        if (r.status.ok()) {
+          std::string want;
+          for (const auto& [k, v] : call.fields) want += v + "/";
+          EXPECT_EQ(r.items[i], want + call.items[i]) << "call " << n;
+        }
+      }
+      if (!r.status.ok()) pattern += '!';
+      pattern += std::to_string(cache.stats().evictions - evictions) + " ";
+    }
+    EXPECT_EQ(pattern, c.pattern);
+
+    const CacheStats stats = cache.stats();
+    EXPECT_EQ(stats.item_hits, c.stats.item_hits);
+    EXPECT_EQ(stats.item_misses, c.stats.item_misses);
+    EXPECT_EQ(stats.coalesced, 0);
+    EXPECT_EQ(stats.evictions, c.stats.evictions);
+    EXPECT_EQ(stats.entries, c.stats.entries);
+    EXPECT_EQ(stats.bytes, c.stats.bytes);
+    EXPECT_NEAR(stats.saved_dollars, c.stats.saved_dollars, 1e-12);
+
+    // The resident set, probed one (shape, item) at a time through a
+    // failing base (a probe admits nothing and evicts nothing).
+    FailingLlm failing;
+    SharedCacheLlmClient probe(&failing, &cache, true);
+    std::string resident;
+    for (size_t s = 0; s < shapes.size(); ++s) {
+      for (int d = 0; d < 12; ++d) {
+        LlmCall call = shapes[s];
+        call.items = {"doc" + std::to_string(d)};
+        if (probe.Call(call).status.ok()) {
+          resident += std::to_string(s) + ":" + std::to_string(d) + " ";
+        }
+      }
+    }
+    EXPECT_EQ(resident, c.resident);
+    EXPECT_EQ(cache.stats().entries, c.stats.entries);
+  }
+}
+
+TEST(SharedCacheTest, MatchesAReferenceLruUnderChurn) {
+  // Thousands of admissions, hits and evictions in one shard, checked
+  // item by item against a plain list-and-map LRU of the same capacity.
+  constexpr size_t kCapacity = 300;
+  SharedLlmCacheOptions opts;
+  opts.num_shards = 1;
+  opts.max_entries = kCapacity;
+  opts.max_bytes = 0;
+  SharedLlmCache cache(opts);
+  RecordingLlm base(/*fail_arrival=*/-1);
+  SharedCacheLlmClient client(&base, &cache, true);
+
+  std::list<std::string> lru;  // most recent first
+  std::map<std::string, std::list<std::string>::iterator> where;
+  int64_t evictions = 0;
+  Rng rng(12);
+  for (int n = 0; n < 4000; ++n) {
+    // Half the items come from a hot tenth of the id space.
+    LlmCall call = DocCall({}, n % 3 == 0 ? "about golf" : "about tennis");
+    const int64_t size = rng.UniformInt(1, 4);
+    for (int64_t k = 0; k < size; ++k) {
+      const int64_t id = rng.UniformInt(0, 1) == 0 ? rng.UniformInt(0, 99)
+                                                   : rng.UniformInt(0, 999);
+      const std::string item = "doc" + std::to_string(id);
+      if (std::find(call.items.begin(), call.items.end(), item) ==
+          call.items.end()) {
+        call.items.push_back(item);
+      }
+    }
+    // The model: hits refresh in item order, then misses are admitted in
+    // item order, each evicting the tail past capacity.
+    std::vector<std::string> want_sent;
+    for (const auto& item : call.items) {
+      const std::string key = call.fields.at("condition") + "|" + item;
+      auto it = where.find(key);
+      if (it != where.end()) {
+        lru.splice(lru.begin(), lru, it->second);
+      } else {
+        want_sent.push_back(item);
+      }
+    }
+    for (const auto& item : want_sent) {
+      lru.push_front(call.fields.at("condition") + "|" + item);
+      where[lru.front()] = lru.begin();
+      if (lru.size() > kCapacity) {
+        where.erase(lru.back());
+        lru.pop_back();
+        ++evictions;
+      }
+    }
+
+    const size_t base_calls = base.calls.size();
+    ASSERT_TRUE(client.Call(call).status.ok());
+    std::vector<std::string> sent;
+    if (base.calls.size() > base_calls) sent = base.calls.back();
+    ASSERT_EQ(sent, want_sent) << "call " << n;
+  }
+  EXPECT_EQ(cache.stats().evictions, evictions);
+  EXPECT_EQ(cache.stats().entries, static_cast<int64_t>(lru.size()));
 }
 
 TEST(SharedCacheTest, SingleflightCoalescesConcurrentIdenticalMisses) {

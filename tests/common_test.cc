@@ -184,6 +184,16 @@ TEST(HashTest, StableHashIsStable) {
   EXPECT_NE(StableHash64(""), StableHash64(" "));
 }
 
+TEST(HashTest, StableHashOfPiecesEqualsHashOfWhole) {
+  const std::string prefix = "5\x1d" "condition\x1f" "about tennis\x1e";
+  const uint64_t state = Fnv1aContinue(kFnv1aOffsetBasis, prefix);
+  for (const std::string item : {"", "0", "3897", "doc-with-a-long-name"}) {
+    EXPECT_EQ(StableHashFinish(Fnv1aContinue(state, item)),
+              StableHash64(prefix + item))
+        << item;
+  }
+}
+
 // ---------------------------------------------------------------------------
 // String utilities
 // ---------------------------------------------------------------------------
